@@ -10,8 +10,6 @@
 #include <map>
 #include <memory>
 
-#include <unistd.h>
-
 #include "core/analysis.hh"
 #include "core/calibration.hh"
 #include "core/parallel_for.hh"
@@ -23,7 +21,6 @@
 #include "core/report.hh"
 #include "core/runner.hh"
 #include "core/scenario.hh"
-#include "core/serve.hh"
 #include "machine/config.hh"
 #include "machine/machine.hh"
 #include "machine/registry.hh"
@@ -31,7 +28,6 @@
 #include "util/json.hh"
 #include "util/logging.hh"
 #include "util/str.hh"
-#include "util/transport.hh"
 
 namespace mcscope {
 
@@ -47,13 +43,8 @@ const char *kUsage =
     "  sweep <workload> [flags]     numactl option x rank sweep\n"
     "  scaling <workload> [flags]   strong-scaling series\n"
     "  batch <spec.json> [flags]    execute a sweep-plan spec file\n"
-    "  serve [flags]                sweep service daemon (TCP)\n"
-    "  submit <spec.json> --connect HOST:PORT [--csv] [--cache-stats]\n"
-    "                               run a spec on a serve daemon\n"
-    "  worker [--manifest FILE]     shard worker (internal; manifest\n"
-    "                               read from stdin by default)\n"
-    "  worker --framed              framed worker loop on stdin/stdout\n"
-    "  worker --connect HOST:PORT   join a serve daemon's worker pool\n"
+    "  worker                       shard worker (internal; reads one\n"
+    "                               manifest from stdin)\n"
     "flags: --machine M --ranks N[,N..] --option I|label\n"
     "       --machine-dir D  load machine definitions from D/*.json\n"
     "                into the registry before running any command\n"
@@ -81,18 +72,8 @@ const char *kUsage =
     "       --point-timeout S  kill a worker stuck >S seconds on one\n"
     "                          point and retry it (default: off)\n"
     "       --max-retries N  attempts before a point becomes a gap\n"
-    "                        (default 2)\n"
-    "       --backoff S      base worker respawn delay, doubled per\n"
-    "                        retry (default 0.05)\n"
-    "serve flags (DESIGN.md §14):\n"
-    "       --host H         bind address (default 127.0.0.1)\n"
-    "       --port P         TCP port; 0 picks one (printed at start)\n"
-    "       --shards N       local worker subprocesses (default 1;\n"
-    "                        0 relies on connected workers only)\n"
-    "       --max-batches N  exit after N submissions (default: run\n"
-    "                        forever)\n"
-    "       plus --journal --cache-dir --audit --point-timeout\n"
-    "       --max-retries --backoff with batch semantics\n";
+    "                        (default 2; retries wait 0.05 s, doubled\n"
+    "                        per retry of the same point)\n";
 
 /**
  * Parse a digits-only string as a non-negative integer.  Returns -1
@@ -142,7 +123,6 @@ struct CliFlags
     std::string resume;
     double pointTimeout = 0.0;
     int maxRetries = 2;
-    double backoff = 0.05;
     std::string error;
 };
 
@@ -285,13 +265,6 @@ parseFlags(const std::vector<std::string> &args, size_t start)
             f.maxRetries = parseDigits(v);
             if (f.maxRetries < 0) {
                 f.error = "bad --max-retries value '" + v + "'";
-                return f;
-            }
-        } else if (a == "--backoff") {
-            std::string v = next();
-            f.backoff = parseSeconds(v);
-            if (std::isnan(f.backoff)) {
-                f.error = "bad --backoff value '" + v + "'";
                 return f;
             }
         } else if (a == "--detail") {
@@ -842,7 +815,6 @@ cmdBatch(const std::vector<std::string> &args, std::ostream &out)
         sh.shards = f.shards > 0 ? f.shards : 1;
         sh.pointTimeoutSeconds = f.pointTimeout;
         sh.maxRetries = f.maxRetries;
-        sh.backoffSeconds = f.backoff;
         sh.audit = f.audit;
         sh.cacheDir = f.cacheDir;
         if (sh.cacheDir.empty()) {
@@ -887,167 +859,20 @@ cmdBatch(const std::vector<std::string> &args, std::ostream &out)
 }
 
 /**
- * Shard worker: consume a manifest (stdin, or --manifest FILE) and
- * stream one record per completed point.  Spawned by the batch
- * supervisor (--framed), attachable to a serve daemon (--connect);
- * the bare line-protocol form stays usable by hand for debugging a
- * single shard.
+ * Shard worker: consume one manifest on stdin and stream one record
+ * line per completed point.  Spawned by the batch supervisor; also
+ * usable by hand for debugging a single shard.
  */
 int
 cmdWorker(const std::vector<std::string> &args, std::ostream &out)
 {
-    if (args.size() == 1)
-        return runShardWorker(std::cin, out);
-    if (args.size() == 2 && args[1] == "--framed")
-        return runFramedShardWorker(STDIN_FILENO, STDOUT_FILENO);
-    if (args.size() == 3 && args[1] == "--connect") {
-        std::string host;
-        int port = 0;
-        if (!splitHostPort(args[2], &host, &port)) {
-            out << "worker: bad --connect address '" << args[2]
-                << "' (want HOST:PORT)\n";
-            return 2;
-        }
-        return runConnectedWorker(host, port);
-    }
-    if (args.size() == 3 && args[1] == "--manifest") {
-        std::ifstream in(args[2]);
-        if (!in) {
-            out << "worker: cannot read '" << args[2] << "'\n";
-            return 2;
-        }
-        return runShardWorker(in, out);
-    }
-    out << "worker: expected no arguments, --framed, "
-           "--connect HOST:PORT, or --manifest FILE\n"
-        << kUsage;
-    return 2;
-}
-
-int
-cmdServe(const std::vector<std::string> &args, std::ostream &out)
-{
-    ServeOptions o;
-    for (size_t i = 1; i < args.size(); ++i) {
-        const std::string &a = args[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= args.size())
-                return "";
-            return args[++i];
-        };
-        if (a == "--host") {
-            o.host = next();
-            if (o.host.empty()) {
-                out << "serve: --host needs an address\n";
-                return 2;
-            }
-        } else if (a == "--port") {
-            std::string v = next();
-            o.port = parseDigits(v);
-            if (o.port < 0 || o.port > 65535) {
-                out << "serve: bad --port value '" << v << "'\n";
-                return 2;
-            }
-        } else if (a == "--shards") {
-            std::string v = next();
-            o.shards = parseDigits(v);
-            if (o.shards < 0) {
-                out << "serve: bad --shards value '" << v << "'\n";
-                return 2;
-            }
-        } else if (a == "--max-batches") {
-            std::string v = next();
-            int n = parseDigits(v);
-            if (n < 0) {
-                out << "serve: bad --max-batches value '" << v
-                    << "'\n";
-                return 2;
-            }
-            o.maxBatches = static_cast<uint64_t>(n);
-        } else if (a == "--journal") {
-            o.journalPath = next();
-            if (o.journalPath.empty()) {
-                out << "serve: --journal needs a file name\n";
-                return 2;
-            }
-        } else if (a == "--cache-dir") {
-            o.cacheDir = next();
-            if (o.cacheDir.empty()) {
-                out << "serve: --cache-dir needs a directory\n";
-                return 2;
-            }
-        } else if (a == "--audit") {
-            o.audit = true;
-        } else if (a == "--point-timeout") {
-            std::string v = next();
-            o.pointTimeoutSeconds = parseSeconds(v);
-            if (std::isnan(o.pointTimeoutSeconds) ||
-                o.pointTimeoutSeconds <= 0.0) {
-                out << "serve: bad --point-timeout value '" << v
-                    << "'\n";
-                return 2;
-            }
-        } else if (a == "--max-retries") {
-            std::string v = next();
-            o.maxRetries = parseDigits(v);
-            if (o.maxRetries < 0) {
-                out << "serve: bad --max-retries value '" << v
-                    << "'\n";
-                return 2;
-            }
-        } else if (a == "--backoff") {
-            std::string v = next();
-            o.backoffSeconds = parseSeconds(v);
-            if (std::isnan(o.backoffSeconds)) {
-                out << "serve: bad --backoff value '" << v << "'\n";
-                return 2;
-            }
-        } else {
-            out << "serve: unknown flag '" << a << "'\n" << kUsage;
-            return 2;
-        }
-    }
-    if (o.cacheDir.empty()) {
-        if (const char *env = std::getenv("MCSCOPE_CACHE_DIR"))
-            o.cacheDir = env;
-    }
-    return runServe(o, out);
-}
-
-int
-cmdSubmit(const std::vector<std::string> &args, std::ostream &out)
-{
-    if (args.size() < 2) {
-        out << "submit: missing spec file\n" << kUsage;
+    if (args.size() != 1) {
+        out << "worker: takes no arguments (reads a manifest on "
+               "stdin)\n"
+            << kUsage;
         return 2;
     }
-    SubmitOptions o;
-    o.specPath = args[1];
-    bool connected = false;
-    for (size_t i = 2; i < args.size(); ++i) {
-        const std::string &a = args[i];
-        if (a == "--connect") {
-            if (i + 1 >= args.size() ||
-                !splitHostPort(args[++i], &o.host, &o.port)) {
-                out << "submit: bad --connect address (want "
-                       "HOST:PORT)\n";
-                return 2;
-            }
-            connected = true;
-        } else if (a == "--csv") {
-            o.csv = true;
-        } else if (a == "--cache-stats") {
-            o.cacheStats = true;
-        } else {
-            out << "submit: unknown flag '" << a << "'\n" << kUsage;
-            return 2;
-        }
-    }
-    if (!connected) {
-        out << "submit: missing --connect HOST:PORT\n" << kUsage;
-        return 2;
-    }
-    return runSubmit(o, out);
+    return runShardWorker(std::cin, out);
 }
 
 } // namespace
@@ -1074,7 +899,7 @@ int
 runCli(const std::vector<std::string> &args, std::ostream &out)
 {
     // --machine-dir loads definitions before any command dispatch so
-    // every subcommand (run, batch, zoo, serve, ...) sees the same
+    // every subcommand (run, batch, zoo, ...) sees the same
     // registry.  Repeatable; a malformed file is a user error, not a
     // crash.
     std::vector<std::string> rest;
@@ -1117,10 +942,6 @@ runCli(const std::vector<std::string> &args, std::ostream &out)
         return cmdScaling(args2, out);
     if (cmd == "batch")
         return cmdBatch(args2, out);
-    if (cmd == "serve")
-        return cmdServe(args2, out);
-    if (cmd == "submit")
-        return cmdSubmit(args2, out);
     if (cmd == "worker")
         return cmdWorker(args2, out);
     out << "unknown command '" << cmd << "'\n" << kUsage;

@@ -61,6 +61,31 @@ writeAllOrDie(int fd, const std::string &data, const std::string &path)
     }
 }
 
+/** True for the journal's header line. */
+bool
+isHeader(const JsonValue &doc)
+{
+    return doc.isObject() && doc.find("format");
+}
+
+/** The (digest, result) a parsed record line holds, if well formed. */
+std::optional<std::pair<uint64_t, RunResult>>
+recordFromDoc(const JsonValue &doc)
+{
+    if (!doc.isObject() || isHeader(doc))
+        return std::nullopt;
+    const JsonValue *digest = doc.find("digest");
+    if (!digest || !digest->isString())
+        return std::nullopt;
+    std::optional<uint64_t> d = parseDigestHex(digest->asString());
+    if (!d)
+        return std::nullopt;
+    std::optional<RunResult> r = parseRunResult(doc, *d);
+    if (!r)
+        return std::nullopt;
+    return std::make_pair(*d, *r);
+}
+
 } // namespace
 
 SweepJournal::SweepJournal(std::string path)
@@ -153,20 +178,9 @@ std::optional<std::pair<uint64_t, RunResult>>
 parseJournalRecord(const std::string &line)
 {
     std::optional<JsonValue> doc = parseJson(line);
-    if (!doc || !doc->isObject())
+    if (!doc)
         return std::nullopt;
-    if (doc->find("format"))
-        return std::nullopt; // header line
-    const JsonValue *digest = doc->find("digest");
-    if (!digest || !digest->isString())
-        return std::nullopt;
-    std::optional<uint64_t> d = parseDigestHex(digest->asString());
-    if (!d)
-        return std::nullopt;
-    std::optional<RunResult> r = parseRunResult(*doc, *d);
-    if (!r)
-        return std::nullopt;
-    return std::make_pair(*d, *r);
+    return recordFromDoc(*doc);
 }
 
 std::unordered_map<uint64_t, RunResult>
@@ -192,10 +206,11 @@ loadJournal(const std::string &path, JournalLoadStats *stats)
             if (line.empty())
                 continue;
             std::optional<JsonValue> doc = parseJson(line);
-            if (doc && doc->isObject() && doc->find("format"))
-                continue; // header
-            std::optional<std::pair<uint64_t, RunResult>> rec =
-                parseJournalRecord(line);
+            if (doc && isHeader(*doc))
+                continue;
+            std::optional<std::pair<uint64_t, RunResult>> rec;
+            if (doc)
+                rec = recordFromDoc(*doc);
             if (!rec) {
                 ++local.corrupt;
                 warn("journal ", path,

@@ -48,8 +48,6 @@ std::string implToken(MpiImpl impl);
  * Render an executed batch plan the way `mcscope batch` prints it:
  * the machine banner + per-(workload, impl, sublayer) option-sweep
  * table, or (csv) one flat CSV with a column per numactl option.
- * Shared by `mcscope batch` and `mcscope submit`, which must stay
- * byte-identical (tests/integration/serve_test.cpp holds them to it).
  */
 void renderBatchResults(const SweepPlan &plan,
                         const PlanResults &results, bool csv,

@@ -17,7 +17,6 @@
 #include <limits>
 #include <memory>
 
-#include <fcntl.h>
 #include <poll.h>
 #include <unistd.h>
 
@@ -29,7 +28,6 @@
 #include "util/logging.hh"
 #include "util/str.hh"
 #include "util/subprocess.hh"
-#include "util/transport.hh"
 
 namespace mcscope {
 
@@ -44,6 +42,30 @@ double
 secondsSince(Clock::time_point start)
 {
     return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+/**
+ * A count read back from a file or a worker as uint64_t: a whole,
+ * non-negative number below 2^64.  Anything else (negative,
+ * fractional, NaN, infinite or too large) is corrupt input, and
+ * casting it would be undefined behaviour.
+ */
+std::optional<uint64_t>
+storedCount(const JsonValue &v)
+{
+    if (!v.isNumber())
+        return std::nullopt;
+    const double d = v.asNumber();
+    if (!(d >= 0.0 && d < 18446744073709551616.0) || std::floor(d) != d)
+        return std::nullopt;
+    return static_cast<uint64_t>(d);
+}
+
+/** A stored phase or run time: finite and non-negative. */
+bool
+validSeconds(double s)
+{
+    return std::isfinite(s) && s >= 0.0;
 }
 
 } // namespace
@@ -131,16 +153,16 @@ parseRunResult(const JsonValue &doc, uint64_t expect_digest)
     const JsonValue *events = doc.find("events");
     if (!valid || !valid->isBool() || !seconds ||
         !seconds->isNumber() || !tagged || !tagged->isObject() ||
-        !events || !events->isNumber())
+        !events)
         return std::nullopt;
 
     RunResult r;
     r.valid = valid->asBool();
     r.seconds = seconds->asNumber();
-    if (!std::isfinite(r.seconds) || r.seconds < 0.0)
+    if (!validSeconds(r.seconds))
         return std::nullopt;
     for (const auto &[key, v] : tagged->members()) {
-        if (!v.isNumber() || key.empty())
+        if (!v.isNumber() || !validSeconds(v.asNumber()) || key.empty())
             return std::nullopt;
         for (char c : key) {
             if (!std::isdigit(static_cast<unsigned char>(c)))
@@ -160,10 +182,10 @@ parseRunResult(const JsonValue &doc, uint64_t expect_digest)
             return std::nullopt;
         r.taggedSeconds[static_cast<int>(tag)] = v.asNumber();
     }
-    double ev = events->asNumber();
-    if (ev < 0.0 || !std::isfinite(ev))
+    std::optional<uint64_t> ev = storedCount(*events);
+    if (!ev)
         return std::nullopt;
-    r.events = static_cast<uint64_t>(ev);
+    r.events = *ev;
 
     // Engine-counter fields arrived after the cache/journal format
     // shipped; absent fields (old entries) default to zero.
@@ -172,10 +194,10 @@ parseRunResult(const JsonValue &doc, uint64_t expect_digest)
         const JsonValue *v = doc.find(key);
         if (!v)
             return true;
-        if (!v->isNumber() || !std::isfinite(v->asNumber()) ||
-            v->asNumber() < 0.0)
+        std::optional<uint64_t> count = storedCount(*v);
+        if (!count)
             return false;
-        out = static_cast<uint64_t>(v->asNumber());
+        out = *count;
         return true;
     };
     if (!optionalCounter("incremental_solves", r.incrementalSolves) ||
@@ -192,13 +214,14 @@ parseRunResult(const JsonValue &doc, uint64_t expect_digest)
     if (r.audited) {
         const JsonValue *ad = doc.find("audit_digest");
         const JsonValue *ac = doc.find("audit_checks");
-        if (!ad || !ad->isString() || !ac || !ac->isNumber())
+        if (!ad || !ad->isString() || !ac)
             return std::nullopt;
         std::optional<uint64_t> adv = parseDigestHex(ad->asString());
-        if (!adv)
+        std::optional<uint64_t> checks = storedCount(*ac);
+        if (!adv || !checks)
             return std::nullopt;
         r.auditDigest = *adv;
-        r.auditChecks = static_cast<uint64_t>(ac->asNumber());
+        r.auditChecks = *checks;
     }
     return r;
 }
@@ -515,6 +538,9 @@ ShardRunStats::summary() const
 
 namespace {
 
+/** Base worker respawn delay; doubles per retry of the suspect point. */
+constexpr double kRetryBackoffSeconds = 0.05;
+
 /** One decoded shard-manifest point. */
 struct ManifestPoint
 {
@@ -558,12 +584,14 @@ parseShardManifest(const JsonValue &doc, std::string *error)
     for (const JsonValue &p : points->items()) {
         const JsonValue *idx = p.find("index");
         const JsonValue *spec_doc = p.find("spec");
-        if (!idx || !idx->isNumber() || !spec_doc) {
+        std::optional<uint64_t> index =
+            idx ? storedCount(*idx) : std::nullopt;
+        if (!index || !spec_doc) {
             *error = "malformed manifest point";
             return std::nullopt;
         }
         ManifestPoint pt;
-        pt.index = static_cast<uint64_t>(idx->asNumber());
+        pt.index = *index;
         std::string spec_error;
         std::optional<ScenarioSpec> spec =
             parseScenarioSpec(*spec_doc, &spec_error);
@@ -579,116 +607,509 @@ parseShardManifest(const JsonValue &doc, std::string *error)
 }
 
 /**
- * Worker-process execution state shared across manifests: the fault
- * plan (parsed once) and the disk cache (recreated only when a
- * manifest names a different directory, so a long-lived framed worker
- * keeps its warm in-memory tier between manifests).
+ * Execute one manifest point (fault hooks first, cache in front
+ * unless auditing) and build its record document.  May not return at
+ * all when a crash/hang fault matches -- that is the point.
  */
-class ShardWorkerContext
+JsonValue
+executeManifestPoint(const ManifestPoint &pt, bool audit,
+                     const std::vector<FaultSpec> &faults,
+                     ResultCache *cache, uint64_t *cache_hits)
+{
+    // Deterministic fault injection: die or stall exactly when told
+    // to, *before* the point's record exists, so the supervisor's
+    // recovery path sees a genuinely lost point.
+    for (const FaultSpec &f : faults) {
+        if (f.point != pt.index)
+            continue;
+        if (f.kind == FaultSpec::Kind::Crash) {
+            ::raise(SIGKILL);
+        } else {
+            for (;;)
+                ::sleep(3600); // until the watchdog kills us
+        }
+    }
+
+    std::unique_ptr<Workload> workload = makeWorkload(pt.spec.workload);
+    std::optional<uint64_t> digest = pt.spec.digestWith(*workload);
+    const Clock::time_point start = Clock::now();
+    RunResult result;
+    bool hit = false;
+    // Audit mode always simulates (the auditor must see the run);
+    // plain mode may serve the point from the shared disk cache.
+    if (cache && digest && !audit) {
+        if (std::optional<ResultCache::Hit> h = cache->lookup(*digest)) {
+            result = h->result;
+            hit = true;
+            ++*cache_hits;
+        }
+    }
+    if (!hit) {
+        ExperimentConfig cfg = pt.spec.toExperiment();
+        cfg.audit = audit;
+        result = runExperiment(cfg, *workload);
+        if (cache && digest)
+            cache->store(*digest, result);
+    }
+
+    JsonValue rec = JsonValue::object();
+    rec.set("index", JsonValue::number(static_cast<double>(pt.index)));
+    rec.set("wall_seconds", JsonValue::number(secondsSince(start)));
+    rec.set("result", runResultToJson(digest ? *digest : 0, result));
+    return rec;
+}
+
+/**
+ * The supervisor behind runPlanSharded() (DESIGN.md §10).  Each of
+ * `opts.shards` slots runs at most one `mcscope worker` child at a
+ * time.  A child receives its whole manifest on stdin at spawn,
+ * answers with one JSON record line per point in manifest order plus
+ * a closing done line, and exits.  A point a dead child still owed
+ * goes back on the queue, and a later dispatch hands it to a fresh
+ * child on whichever slot is idle.
+ */
+class ShardSupervisor
 {
   public:
-    bool loadFaults(std::string *error)
+    ShardSupervisor(const SweepPlan &plan, const ShardOptions &opts)
+        : plan_(plan), opts_(opts)
     {
-        if (const char *env = std::getenv("MCSCOPE_FAULT_INJECT")) {
-            std::optional<std::vector<FaultSpec>> parsed =
-                parseFaultPlan(env, error);
-            if (!parsed)
-                return false;
-            faults_ = *parsed;
+        n_ = plan_.specs().size();
+        out_.bySpec.assign(n_, RunResult{});
+        out_.specWallSeconds.assign(n_, 0.0);
+        out_.stats.points = plan_.pointCount();
+        out_.stats.uniqueSpecs = n_;
+        done_.assign(n_, false);
+        retries_.assign(n_, 0);
+        notBefore_.assign(n_, Clock::time_point::min());
+
+        // Content digests drive both the journal and resume matching.
+        // A spec without one (non-content-addressable workload) is
+        // always executed and never journaled.
+        digests_.resize(n_);
+        for (size_t i = 0; i < n_; ++i) {
+            std::unique_ptr<Workload> w =
+                makeWorkload(plan_.specs()[i].workload);
+            digests_[i] = plan_.specs()[i].digestWith(*w);
         }
-        return true;
-    }
 
-    void setCacheDir(const std::string &dir)
-    {
-        if (dir == cacheDir_)
-            return;
-        cacheDir_ = dir;
-        cache_ = dir.empty() ? nullptr
-                             : std::make_unique<ResultCache>(dir);
-    }
-
-    /**
-     * Execute one point (fault hooks first, cache in front unless
-     * auditing) and build its record document.  May not return at all
-     * when a crash/hang fault matches -- that is the point.
-     */
-    JsonValue executePoint(const ManifestPoint &pt, bool audit)
-    {
-        // Deterministic fault injection: die or stall exactly when
-        // told to, *before* the point's record exists, so the
-        // supervisor's recovery path sees a genuinely lost point.
-        for (const FaultSpec &f : faults_) {
-            if (f.point != pt.index)
-                continue;
-            if (f.kind == FaultSpec::Kind::Crash) {
-                ::raise(SIGKILL);
-            } else {
-                for (;;)
-                    ::sleep(3600); // until the watchdog kills us
+        if (!opts_.resumeFrom.empty()) {
+            std::unordered_map<uint64_t, RunResult> resumed =
+                loadJournal(opts_.resumeFrom);
+            for (size_t i = 0; i < n_; ++i) {
+                if (!digests_[i])
+                    continue;
+                auto it = resumed.find(*digests_[i]);
+                if (it == resumed.end())
+                    continue;
+                out_.bySpec[i] = it->second;
+                done_[i] = true;
+                ++doneCount_;
+                ++out_.shard.journaled;
             }
         }
 
-        std::unique_ptr<Workload> workload =
-            makeWorkload(pt.spec.workload);
-        std::optional<uint64_t> digest =
-            pt.spec.digestWith(*workload);
-        const Clock::time_point start = Clock::now();
-        RunResult result;
-        bool hit = false;
-        // Audit mode always simulates (the auditor must see the run);
-        // plain mode may serve the point from the shared disk cache.
-        if (cache_ && digest && !audit) {
-            if (std::optional<ResultCache::Hit> h =
-                    cache_->lookup(*digest)) {
-                result = h->result;
-                hit = true;
-                ++cacheHits_;
-            }
-        }
-        if (!hit) {
-            ExperimentConfig cfg = pt.spec.toExperiment();
-            cfg.audit = audit;
-            result = runExperiment(cfg, *workload);
-            if (cache_ && digest)
-                cache_->store(*digest, result);
+        // The journal is opened (and the lock taken) after the resume
+        // load so resuming into the same file appends behind the
+        // records just read.
+        if (!opts_.journalPath.empty())
+            journal_ = std::make_unique<SweepJournal>(opts_.journalPath);
+
+        for (size_t i = 0; i < n_; ++i) {
+            if (!done_[i])
+                pending_.push_back(i);
         }
 
-        JsonValue rec = JsonValue::object();
-        rec.set("index",
-                JsonValue::number(static_cast<double>(pt.index)));
-        rec.set("wall_seconds",
-                JsonValue::number(secondsSince(start)));
-        rec.set("result",
-                runResultToJson(digest ? *digest : 0, result));
-        return rec;
+        exe_ = opts_.workerExe.empty() ? selfExecutablePath()
+                                       : opts_.workerExe;
+        slots_.resize(static_cast<size_t>(std::max(1, opts_.shards)));
+        planStart_ = Clock::now();
     }
 
-    /** Per-manifest cache-hit counter (reset on read). */
-    uint64_t takeCacheHits()
+    PlanResults run(SweepTelemetry *telemetry)
     {
-        uint64_t n = cacheHits_;
-        cacheHits_ = 0;
-        return n;
+        // Keep polling past the last point until every child has
+        // exited, so its done line (worker cache hits) is counted and
+        // no process outlives the sweep.
+        while (doneCount_ < n_ || anyRunning())
+            pollOnce();
+        out_.wallSeconds = secondsSince(planStart_);
+
+        for (size_t i = 0; i < n_; ++i)
+            MCSCOPE_ASSERT(done_[i], "sharded run left spec ", i,
+                           " unresolved");
+
+        out_.stats.misses = out_.shard.executed;
+        out_.stats.simulations =
+            out_.shard.executed -
+            std::min(out_.shard.executed, out_.shard.workerCacheHits);
+
+        if (telemetry)
+            fillTelemetry(*telemetry);
+        return std::move(out_);
     }
 
   private:
-    std::vector<FaultSpec> faults_;
-    std::unique_ptr<ResultCache> cache_;
-    std::string cacheDir_;
-    uint64_t cacheHits_ = 0;
-};
+    /** One worker slot and the child it currently runs, if any. */
+    struct Slot
+    {
+        std::unique_ptr<Subprocess> proc; ///< running child, else null
+        std::string lines;       ///< stdout bytes not yet a full line
+        std::deque<size_t> owed; ///< spec indices assigned, in order
+        bool broken = false;     ///< protocol violation; kill it
+        bool timedOut = false;
+        bool died = false; ///< last child died; next launch respawns
+        Clock::time_point lastProgress;
+        uint64_t points = 0;
+        double busySeconds = 0.0;
+        uint64_t respawns = 0;
+    };
 
-/** The per-manifest trailer record. */
-JsonValue
-doneRecord(uint64_t cache_hits)
-{
-    JsonValue done = JsonValue::object();
-    done.set("done", JsonValue::boolean(true));
-    done.set("cache_hits",
-             JsonValue::number(static_cast<double>(cache_hits)));
-    return done;
-}
+    bool anyRunning() const
+    {
+        for (const Slot &s : slots_) {
+            if (s.proc)
+                return true;
+        }
+        return false;
+    }
+
+    std::string buildManifest(const std::deque<size_t> &queue) const
+    {
+        JsonValue doc = JsonValue::object();
+        doc.set("format", JsonValue::str(kShardManifestFormat));
+        doc.set("audit", JsonValue::boolean(opts_.audit));
+        if (!opts_.cacheDir.empty())
+            doc.set("cache_dir", JsonValue::str(opts_.cacheDir));
+        JsonValue pts = JsonValue::array();
+        for (size_t i : queue) {
+            JsonValue p = JsonValue::object();
+            p.set("index", JsonValue::number(static_cast<double>(i)));
+            p.set("spec", plan_.specs()[i].toJson());
+            pts.append(std::move(p));
+        }
+        doc.set("points", std::move(pts));
+        return doc.dump();
+    }
+
+    void spawn(Slot &s, std::deque<size_t> points)
+    {
+        s.proc = std::make_unique<Subprocess>(
+            std::vector<std::string>{exe_, "worker"},
+            buildManifest(points));
+        s.owed = std::move(points);
+        s.lastProgress = Clock::now();
+        if (s.died) {
+            ++s.respawns;
+            s.died = false;
+        }
+    }
+
+    /**
+     * Pull up to `want` backoff-eligible points off the pending
+     * queue, preserving order; gated points rotate to the back so an
+     * idle slot never stalls behind a cooling-down suspect.
+     */
+    std::deque<size_t> takeEligible(size_t want, Clock::time_point now)
+    {
+        std::deque<size_t> got;
+        size_t scanned = 0;
+        const size_t limit = pending_.size();
+        while (got.size() < want && scanned < limit &&
+               !pending_.empty()) {
+            ++scanned;
+            size_t i = pending_.front();
+            pending_.pop_front();
+            if (notBefore_[i] > now)
+                pending_.push_back(i); // still cooling down
+            else
+                got.push_back(i);
+        }
+        return got;
+    }
+
+    /** Split eligible pending points across idle slots and spawn. */
+    void dispatch(Clock::time_point now)
+    {
+        std::vector<Slot *> idle;
+        for (Slot &s : slots_) {
+            if (!s.proc)
+                idle.push_back(&s);
+        }
+        for (size_t k = 0; k < idle.size() && !pending_.empty(); ++k) {
+            const size_t share = idle.size() - k;
+            const size_t want = (pending_.size() + share - 1) / share;
+            std::deque<size_t> points = takeEligible(want, now);
+            if (points.empty())
+                break; // everything left is cooling down
+            spawn(*idle[k], std::move(points));
+        }
+    }
+
+    void handleRecord(Slot &s, const JsonValue &doc)
+    {
+        const JsonValue *idx = doc.find("index");
+        const JsonValue *res = doc.find("result");
+        std::optional<uint64_t> index =
+            idx ? storedCount(*idx) : std::nullopt;
+        if (!index || *index >= n_ || !res) {
+            warn("supervisor: malformed worker record ignored");
+            return;
+        }
+        const size_t i = static_cast<size_t>(*index);
+        if (done_[i]) {
+            warn("supervisor: unexpected record for spec ", i);
+            return;
+        }
+        std::optional<RunResult> r =
+            parseRunResult(*res, digests_[i] ? *digests_[i] : 0);
+        if (!r) {
+            // Ignored, so the point stays owed; the child's exit will
+            // trigger the retry path.
+            warn("supervisor: corrupt record for spec ", i,
+                 "; the point will be retried");
+            return;
+        }
+        auto it = std::find(s.owed.begin(), s.owed.end(), i);
+        if (it == s.owed.end()) {
+            warn("supervisor: record for spec ", i,
+                 " from the wrong worker ignored");
+            return;
+        }
+        s.owed.erase(it);
+        done_[i] = true;
+        ++doneCount_;
+        out_.bySpec[i] = *r;
+        double wall = 0.0;
+        if (const JsonValue *w = doc.find("wall_seconds");
+            w && w->isNumber() && validSeconds(w->asNumber()))
+            wall = w->asNumber();
+        out_.specWallSeconds[i] = wall;
+        s.busySeconds += wall;
+        ++s.points;
+        s.lastProgress = Clock::now();
+        ++out_.shard.executed;
+        // Write-ahead guarantee: the record is durable before the
+        // sweep counts the point as complete.
+        if (journal_ && digests_[i])
+            journal_->append(*digests_[i], *r);
+    }
+
+    void handleLine(Slot &s, const std::string &line)
+    {
+        std::optional<JsonValue> doc = parseJson(line);
+        if (!doc || !doc->isObject()) {
+            warn("supervisor: unparseable worker record ignored");
+            return;
+        }
+        if (!doc->find("done")) {
+            handleRecord(s, *doc);
+            return;
+        }
+        if (const JsonValue *h = doc->find("cache_hits")) {
+            if (std::optional<uint64_t> hits = storedCount(*h))
+                out_.shard.workerCacheHits += *hits;
+        }
+        if (!s.owed.empty()) {
+            // A done line with points still owed means the worker
+            // skipped work; treat it like a death so the points are
+            // requeued with retry accounting.
+            warn("supervisor: worker finished a manifest with ",
+                 s.owed.size(), " point(s) still owed");
+            s.broken = true;
+        }
+    }
+
+    /** Consume readable stdout; false once the child closed it. */
+    bool drain(Slot &s)
+    {
+        const bool open = s.proc->readAvailable(s.lines);
+        size_t start = 0;
+        size_t nl = 0;
+        while (!s.broken &&
+               (nl = s.lines.find('\n', start)) != std::string::npos) {
+            handleLine(s, s.lines.substr(start, nl - start));
+            start = nl + 1;
+        }
+        s.lines.erase(0, start);
+        return open;
+    }
+
+    /**
+     * The slot's child is gone or must go: reap it and decide between
+     * finished, retry and gap for what it still owed.  Workers emit
+     * records strictly in manifest order, so the first still-owed
+     * point is the one that took it down.
+     */
+    void settle(Slot &s, Clock::time_point now)
+    {
+        if (s.broken || s.timedOut)
+            s.proc->kill();
+        s.proc->wait();
+        const bool clean = !s.broken && !s.timedOut &&
+                           s.proc->exitCode() == 0;
+        const bool timed_out = s.timedOut;
+        s.proc.reset();
+        s.lines.clear();
+        s.broken = s.timedOut = false;
+        if (clean && s.owed.empty())
+            return;
+        s.died = true;
+        ++out_.shard.crashes;
+        // A worker can die uncleanly after delivering its last record
+        // (e.g. SIGKILL between the final write and exit, or a
+        // post-timeout salvage read draining the pipe); with no point
+        // still owed there is nothing to retry.
+        if (s.owed.empty())
+            return;
+        if (timed_out)
+            ++out_.shard.timeouts;
+        const size_t suspect = s.owed.front();
+        ++retries_[suspect];
+        if (retries_[suspect] > opts_.maxRetries) {
+            warn("point ", suspect, " (",
+                 plan_.specs()[suspect].canonicalText(), ") ",
+                 timed_out ? "hung" : "crashed", " its worker ",
+                 retries_[suspect],
+                 " time(s); recording a gap and moving on");
+            s.owed.pop_front();
+            done_[suspect] = true; // stays an invalid RunResult
+            ++doneCount_;
+            ++out_.shard.gaps;
+        } else {
+            ++out_.shard.retries;
+            const double delay =
+                kRetryBackoffSeconds *
+                static_cast<double>(
+                    1u << std::min(retries_[suspect] - 1, 6));
+            notBefore_[suspect] =
+                now + std::chrono::duration_cast<Clock::duration>(
+                          std::chrono::duration<double>(delay));
+        }
+        // Requeue in front, preserving manifest order, so the suspect
+        // (if retried) and its followers run next.
+        for (auto it = s.owed.rbegin(); it != s.owed.rend(); ++it)
+            pending_.push_front(*it);
+        s.owed.clear();
+    }
+
+    /** True when a busy child has made no progress for too long. */
+    bool stalled(const Slot &s, Clock::time_point now) const
+    {
+        return opts_.pointTimeoutSeconds > 0.0 &&
+               std::chrono::duration<double>(now - s.lastProgress)
+                       .count() > opts_.pointTimeoutSeconds;
+    }
+
+    /**
+     * One supervisor iteration: spawn children for eligible work,
+     * poll their stdout (bounded by the nearest watchdog or backoff
+     * deadline), consume records, and settle children that exited,
+     * broke protocol or hung.
+     */
+    void pollOnce()
+    {
+        Clock::time_point now = Clock::now();
+        dispatch(now);
+
+        std::vector<struct pollfd> fds;
+        for (const Slot &s : slots_) {
+            if (s.proc && s.proc->outFd() >= 0)
+                fds.push_back({s.proc->outFd(), POLLIN, 0});
+        }
+        // Wake early enough for the nearest watchdog or backoff
+        // deadline; 200 ms bounds the idle re-check either way.
+        int timeout_ms = 200;
+        auto considerDeadline = [&](Clock::time_point when) {
+            double ms =
+                std::chrono::duration<double, std::milli>(when - now)
+                    .count();
+            timeout_ms = std::max(
+                1, std::min(timeout_ms, static_cast<int>(ms) + 1));
+        };
+        for (const Slot &s : slots_) {
+            if (s.proc && opts_.pointTimeoutSeconds > 0.0) {
+                considerDeadline(
+                    s.lastProgress +
+                    std::chrono::duration_cast<Clock::duration>(
+                        std::chrono::duration<double>(
+                            opts_.pointTimeoutSeconds)));
+            }
+        }
+        for (size_t i : pending_) {
+            if (notBefore_[i] > now)
+                considerDeadline(notBefore_[i]);
+        }
+        ::poll(fds.empty() ? nullptr : fds.data(), fds.size(),
+               timeout_ms);
+
+        now = Clock::now();
+        for (Slot &s : slots_) {
+            if (!s.proc)
+                continue;
+            const bool open = drain(s);
+            if (!s.broken && open && stalled(s, now)) {
+                // Hung: kill, salvage already-sent records, then
+                // settle like any other death.
+                s.timedOut = true;
+                s.proc->kill();
+                drain(s);
+            }
+            if (s.broken || s.timedOut || !open)
+                settle(s, now);
+        }
+    }
+
+    void fillTelemetry(SweepTelemetry &telemetry) const
+    {
+        telemetry.jobs = static_cast<int>(slots_.size());
+        telemetry.wallSeconds = out_.wallSeconds;
+        telemetry.journaled = out_.shard.journaled;
+        telemetry.retries = out_.shard.retries;
+        telemetry.gaps = out_.shard.gaps;
+        telemetry.points.assign(plan_.pointCount(), {});
+        for (size_t p = 0; p < plan_.pointCount(); ++p) {
+            const size_t si = plan_.specIndex(p);
+            const ScenarioSpec &spec = plan_.specs()[si];
+            const RunResult &r = out_.bySpec[si];
+            GridPointSample &sample = telemetry.points[p];
+            sample.ranks = spec.ranks;
+            sample.label = spec.option.label;
+            sample.valid = r.valid;
+            sample.wallSeconds = out_.specWallSeconds[si];
+            sample.simSeconds = r.valid ? r.seconds : 0.0;
+            sample.events = r.events;
+            sample.incrementalSolves = r.incrementalSolves;
+            sample.fullSolves = r.fullSolves;
+            sample.calqueueOps = r.calqueueOps;
+            sample.calqueueResizes = r.calqueueResizes;
+        }
+        telemetry.shards.clear();
+        for (size_t k = 0; k < slots_.size(); ++k) {
+            ShardSample sample;
+            sample.shard = static_cast<int>(k);
+            sample.points = slots_[k].points;
+            sample.busySeconds = slots_[k].busySeconds;
+            sample.respawns = slots_[k].respawns;
+            telemetry.shards.push_back(sample);
+        }
+    }
+
+    const SweepPlan &plan_;
+    const ShardOptions opts_;
+    size_t n_ = 0;
+    size_t doneCount_ = 0;
+    PlanResults out_;
+    std::vector<std::optional<uint64_t>> digests_;
+    std::vector<bool> done_;
+    std::vector<int> retries_;
+    std::vector<Clock::time_point> notBefore_; ///< per-point backoff gate
+    std::deque<size_t> pending_; ///< not done, not assigned
+    std::string exe_;
+    Clock::time_point planStart_;
+    std::unique_ptr<SweepJournal> journal_;
+    std::vector<Slot> slots_;
+};
 
 } // namespace
 
@@ -706,790 +1127,41 @@ runShardWorker(std::istream &in, std::ostream &out)
         warn("worker: malformed shard manifest: ", error);
         return 2;
     }
-    ShardWorkerContext ctx;
-    if (!ctx.loadFaults(&error)) {
-        warn("worker: bad MCSCOPE_FAULT_INJECT: ", error);
-        return 2;
+    std::vector<FaultSpec> faults;
+    if (const char *env = std::getenv("MCSCOPE_FAULT_INJECT")) {
+        std::optional<std::vector<FaultSpec>> parsed =
+            parseFaultPlan(env, &error);
+        if (!parsed) {
+            warn("worker: bad MCSCOPE_FAULT_INJECT: ", error);
+            return 2;
+        }
+        faults = std::move(*parsed);
     }
-    ctx.setCacheDir(manifest->cacheDir);
+    std::unique_ptr<ResultCache> cache;
+    if (!manifest->cacheDir.empty())
+        cache = std::make_unique<ResultCache>(manifest->cacheDir);
+    uint64_t cache_hits = 0;
     for (const ManifestPoint &pt : manifest->points) {
-        out << ctx.executePoint(pt, manifest->audit).dump() << "\n";
+        out << executeManifestPoint(pt, manifest->audit, faults,
+                                    cache.get(), &cache_hits)
+                   .dump()
+            << "\n";
         out.flush();
     }
-    out << doneRecord(ctx.takeCacheHits()).dump() << "\n";
+    JsonValue done = JsonValue::object();
+    done.set("done", JsonValue::boolean(true));
+    done.set("cache_hits",
+             JsonValue::number(static_cast<double>(cache_hits)));
+    out << done.dump() << "\n";
     out.flush();
     return 0;
 }
 
-int
-runFramedShardWorker(int in_fd, int out_fd)
-{
-    ignoreSigpipeOnce();
-    std::string error;
-    ShardWorkerContext ctx;
-    if (!ctx.loadFaults(&error)) {
-        warn("worker: bad MCSCOPE_FAULT_INJECT: ", error);
-        return 2;
-    }
-    for (;;) {
-        bool eof = false;
-        std::optional<std::string> frame = readFrame(in_fd, &eof);
-        if (!frame) {
-            if (eof)
-                return 0; // orderly shutdown at a frame boundary
-            warn("worker: torn or malformed manifest stream");
-            return 2;
-        }
-        std::optional<JsonValue> doc = parseJson(*frame, &error);
-        std::optional<ShardManifest> manifest;
-        if (doc)
-            manifest = parseShardManifest(*doc, &error);
-        if (!manifest) {
-            warn("worker: malformed shard manifest: ", error);
-            return 2;
-        }
-        ctx.setCacheDir(manifest->cacheDir);
-        for (const ManifestPoint &pt : manifest->points) {
-            if (!writeFrame(
-                    out_fd,
-                    ctx.executePoint(pt, manifest->audit).dump()))
-                return 2; // supervisor hung up
-        }
-        if (!writeFrame(out_fd,
-                        doneRecord(ctx.takeCacheHits()).dump()))
-            return 2;
-    }
-}
-
-/**
- * One worker channel of the sharded supervisor: either a local
- * fork/exec subprocess (proc set) or a remote TCP worker (fd set).
- * Both speak the framed manifest/record protocol, so everything past
- * the byte-moving layer is channel-agnostic.
- */
-struct ShardExecutor::Impl
-{
-    struct Channel
-    {
-        std::unique_ptr<Subprocess> proc; ///< local worker, else null
-        int fd = -1;      ///< remote socket (owned), else -1
-        bool isRemote = false;
-        std::string peer; ///< "local#N" or the remote peer label
-        FrameBuffer frames;
-        std::deque<size_t> owed; ///< spec indices assigned, in order
-        bool busy = false; ///< manifest sent, done frame not yet seen
-        bool dead = false; ///< marked for the death protocol
-        bool timedOut = false;
-        Clock::time_point lastProgress;
-        uint64_t points = 0;
-        double busySeconds = 0.0;
-        uint64_t respawns = 0;
-        uint64_t launches = 0;
-
-        int readFd() const
-        {
-            return proc ? proc->outFd() : fd;
-        }
-        int writeFd() const
-        {
-            return proc ? proc->inFd() : fd;
-        }
-        bool live() const
-        {
-            return !dead && (proc || (isRemote && fd >= 0));
-        }
-    };
-
-    const SweepPlan &plan;
-    ShardOptions opts;
-    size_t n = 0;
-    size_t doneCount = 0;
-    PlanResults out;
-    std::vector<std::optional<uint64_t>> digests;
-    std::vector<bool> done;
-    std::vector<int> retries;
-    std::vector<Clock::time_point> notBefore; ///< per-point backoff gate
-    std::deque<size_t> pending; ///< not done, not assigned
-    std::string exe;
-    Clock::time_point planStart;
-    std::unique_ptr<SweepJournal> ownedJournal;
-    SweepJournal *journal = nullptr;
-    std::vector<Completion> completions;
-    std::vector<std::unique_ptr<Channel>> channels;
-    std::vector<ShardSample> retiredRemotes; ///< samples of gone remotes
-    size_t localCount = 0;
-    size_t remoteSeq = 0;
-    bool taken = false;
-
-    Impl(const SweepPlan &p, const ShardOptions &o,
-         SweepJournal *shared_journal,
-         const std::unordered_map<uint64_t, RunResult> *known)
-        : plan(p), opts(o)
-    {
-        n = plan.specs().size();
-        out.bySpec.assign(n, RunResult{});
-        out.specWallSeconds.assign(n, 0.0);
-        out.stats.points = plan.pointCount();
-        out.stats.uniqueSpecs = n;
-        done.assign(n, false);
-        retries.assign(n, 0);
-        notBefore.assign(n, Clock::time_point::min());
-
-        // Content digests drive both the journal and resume matching.
-        // A spec without one (non-content-addressable workload) is
-        // always executed and never journaled.
-        digests.resize(n);
-        for (size_t i = 0; i < n; ++i) {
-            std::unique_ptr<Workload> w =
-                makeWorkload(plan.specs()[i].workload);
-            digests[i] = plan.specs()[i].digestWith(*w);
-        }
-
-        // Points the journal already vouches for complete instantly:
-        // either from the caller-shared known map (serve, where it
-        // spans clients and batches) or from a --resume load.
-        std::unordered_map<uint64_t, RunResult> resumed;
-        if (!known && !opts.resumeFrom.empty())
-            resumed = loadJournal(opts.resumeFrom);
-        const std::unordered_map<uint64_t, RunResult> *hits =
-            known ? known : &resumed;
-        for (size_t i = 0; i < n; ++i) {
-            if (!digests[i])
-                continue;
-            auto it = hits->find(*digests[i]);
-            if (it == hits->end())
-                continue;
-            out.bySpec[i] = it->second;
-            done[i] = true;
-            ++doneCount;
-            ++out.shard.journaled;
-            completions.push_back({i, 0.0, true});
-        }
-
-        // The journal is opened (and the lock taken) after the resume
-        // load so resuming into the same file appends behind the
-        // records just read.  A shared journal is already open and
-        // stays the caller's.
-        if (shared_journal) {
-            journal = shared_journal;
-        } else if (!opts.journalPath.empty()) {
-            ownedJournal =
-                std::make_unique<SweepJournal>(opts.journalPath);
-            journal = ownedJournal.get();
-        }
-
-        for (size_t i = 0; i < n; ++i) {
-            if (!done[i])
-                pending.push_back(i);
-        }
-
-        exe = opts.workerExe.empty() ? selfExecutablePath()
-                                     : opts.workerExe;
-        localCount = opts.shards < 0
-                         ? 0
-                         : static_cast<size_t>(opts.shards);
-        for (size_t s = 0; s < localCount; ++s) {
-            auto ch = std::make_unique<Channel>();
-            ch->peer = "local#" + std::to_string(s);
-            channels.push_back(std::move(ch));
-        }
-        planStart = Clock::now();
-    }
-
-    std::string buildManifest(const std::deque<size_t> &queue) const
-    {
-        JsonValue doc = JsonValue::object();
-        doc.set("format", JsonValue::str(kShardManifestFormat));
-        doc.set("audit", JsonValue::boolean(opts.audit));
-        if (!opts.cacheDir.empty())
-            doc.set("cache_dir", JsonValue::str(opts.cacheDir));
-        JsonValue pts = JsonValue::array();
-        for (size_t i : queue) {
-            JsonValue p = JsonValue::object();
-            p.set("index",
-                  JsonValue::number(static_cast<double>(i)));
-            p.set("spec", plan.specs()[i].toJson());
-            pts.append(std::move(p));
-        }
-        doc.set("points", std::move(pts));
-        return doc.dump();
-    }
-
-    void spawnLocal(Channel &ch)
-    {
-        ch.proc = std::make_unique<Subprocess>(
-            std::vector<std::string>{exe, "worker", "--framed"},
-            /*stdin_data=*/std::string(),
-            /*extra_env=*/std::vector<std::string>(),
-            Subprocess::Stdin::Keep);
-        ch.frames = FrameBuffer();
-        ch.busy = false;
-        ch.dead = false;
-        ch.timedOut = false;
-        ch.lastProgress = Clock::now();
-        if (ch.launches++ > 0)
-            ++ch.respawns;
-    }
-
-    /**
-     * Pull up to `want` backoff-eligible points off the pending
-     * queue, preserving order; gated points rotate to the back so an
-     * idle channel never stalls behind a cooling-down suspect.
-     */
-    std::deque<size_t> takeEligible(size_t want,
-                                    Clock::time_point now)
-    {
-        std::deque<size_t> got;
-        size_t scanned = 0;
-        const size_t limit = pending.size();
-        while (got.size() < want && scanned < limit &&
-               !pending.empty()) {
-            ++scanned;
-            size_t i = pending.front();
-            pending.pop_front();
-            if (notBefore[i] > now)
-                pending.push_back(i); // still cooling down
-            else
-                got.push_back(i);
-        }
-        return got;
-    }
-
-    /** Hand a manifest to an idle live channel; false = send failed. */
-    bool sendManifest(Channel &ch, std::deque<size_t> points)
-    {
-        const std::string manifest = buildManifest(points);
-        ch.owed = std::move(points);
-        ch.busy = true;
-        ch.lastProgress = Clock::now();
-        if (!writeFrame(ch.writeFd(), manifest)) {
-            warn("supervisor: cannot send manifest to ", ch.peer,
-                 ": ", std::strerror(errno));
-            ch.dead = true;
-            return false;
-        }
-        return true;
-    }
-
-    /** Spawn/assign work to every idle channel that can take it. */
-    void dispatch(Clock::time_point now)
-    {
-        if (pending.empty())
-            return;
-        // Local slots without a live process respawn on demand --
-        // only when eligible work exists, so per-point backoff is
-        // honored no matter which channel picks the suspect up.
-        std::vector<Channel *> idle;
-        for (auto &ch : channels) {
-            if (!ch->isRemote && !ch->proc && !pending.empty() &&
-                haveEligible(now))
-                spawnLocal(*ch);
-            if (ch->live() && !ch->busy)
-                idle.push_back(ch.get());
-        }
-        for (size_t k = 0; k < idle.size() && !pending.empty();
-             ++k) {
-            const size_t share = idle.size() - k;
-            const size_t want =
-                (pending.size() + share - 1) / share;
-            std::deque<size_t> points = takeEligible(want, now);
-            if (points.empty())
-                break; // everything left is cooling down
-            sendManifest(*idle[k], std::move(points));
-        }
-    }
-
-    bool haveEligible(Clock::time_point now) const
-    {
-        for (size_t i : pending) {
-            if (notBefore[i] <= now)
-                return true;
-        }
-        return false;
-    }
-
-    void handleRecordFrame(Channel &ch, const JsonValue &doc)
-    {
-        const JsonValue *idx = doc.find("index");
-        const JsonValue *res = doc.find("result");
-        if (!idx || !idx->isNumber() || !res) {
-            warn("supervisor: malformed worker record ignored");
-            return;
-        }
-        const size_t i = static_cast<size_t>(idx->asNumber());
-        if (i >= n || done[i]) {
-            warn("supervisor: unexpected record for spec ", i);
-            return;
-        }
-        std::optional<RunResult> r =
-            parseRunResult(*res, digests[i] ? *digests[i] : 0);
-        if (!r) {
-            // Ignored, so the point stays owed; the channel's death
-            // will trigger the retry path.
-            warn("supervisor: corrupt record for spec ", i,
-                 "; the point will be retried");
-            return;
-        }
-        auto it = std::find(ch.owed.begin(), ch.owed.end(), i);
-        if (it == ch.owed.end()) {
-            warn("supervisor: record for spec ", i,
-                 " from the wrong worker ignored");
-            return;
-        }
-        ch.owed.erase(it);
-        done[i] = true;
-        ++doneCount;
-        out.bySpec[i] = *r;
-        double wall = 0.0;
-        if (const JsonValue *w = doc.find("wall_seconds");
-            w && w->isNumber())
-            wall = w->asNumber();
-        out.specWallSeconds[i] = wall;
-        ch.busySeconds += wall;
-        ++ch.points;
-        ch.lastProgress = Clock::now();
-        ++out.shard.executed;
-        // Write-ahead guarantee: the record is durable before the
-        // sweep counts the point as complete.
-        if (journal && digests[i])
-            journal->append(*digests[i], *r);
-        completions.push_back({i, wall, false});
-    }
-
-    void handleFrame(Channel &ch, const std::string &payload)
-    {
-        std::optional<JsonValue> doc = parseJson(payload);
-        if (!doc || !doc->isObject()) {
-            warn("supervisor: unparseable worker record ignored");
-            return;
-        }
-        if (doc->find("done")) {
-            if (const JsonValue *h = doc->find("cache_hits");
-                h && h->isNumber())
-                out.shard.workerCacheHits +=
-                    static_cast<uint64_t>(h->asNumber());
-            if (!ch.owed.empty()) {
-                // A done frame with points still owed means the
-                // worker skipped work; treat it like a death so the
-                // points are requeued with retry accounting.
-                warn("supervisor: worker ", ch.peer,
-                     " finished a manifest with ", ch.owed.size(),
-                     " point(s) still owed");
-                ch.dead = true;
-                return;
-            }
-            ch.busy = false;
-            return;
-        }
-        handleRecordFrame(ch, *doc);
-    }
-
-    /** Drain readable bytes; false once the channel reached EOF. */
-    bool drainChannel(Channel &ch)
-    {
-        if (ch.proc) {
-            std::string bytes;
-            const bool open = ch.proc->readAvailable(bytes);
-            ch.frames.append(bytes);
-            return open;
-        }
-        if (ch.fd < 0)
-            return false;
-        char chunk[4096];
-        for (;;) {
-            ssize_t r = ::read(ch.fd, chunk, sizeof(chunk));
-            if (r > 0) {
-                ch.frames.append(chunk, static_cast<size_t>(r));
-                continue;
-            }
-            if (r == 0)
-                return false;
-            if (errno == EINTR)
-                continue;
-            if (errno == EAGAIN || errno == EWOULDBLOCK)
-                return true;
-            return false; // dead socket
-        }
-    }
-
-    void processFrames(Channel &ch)
-    {
-        while (std::optional<std::string> f = ch.frames.next()) {
-            handleFrame(ch, *f);
-            if (ch.dead)
-                return;
-        }
-        if (ch.frames.malformed()) {
-            warn("supervisor: malformed frame stream from ", ch.peer);
-            ch.dead = true;
-        }
-    }
-
-    /**
-     * A channel died (or was killed): decide between finished, retry,
-     * and gap.  Workers emit records strictly in manifest order, so
-     * the first still-owed point is the one that took it down.
-     */
-    void handleDeath(Channel &ch, Clock::time_point now)
-    {
-        bool clean;
-        if (ch.proc) {
-            ch.proc->kill();
-            ch.proc->wait();
-            clean = !ch.timedOut && ch.proc->exitCode() == 0;
-            ch.proc.reset();
-        } else {
-            if (ch.fd >= 0) {
-                ::close(ch.fd);
-                ch.fd = -1;
-            }
-            // A remote that disconnects while idle is an orderly
-            // departure (a worker being re-pointed elsewhere), not a
-            // crash.
-            clean = !ch.timedOut && ch.owed.empty();
-        }
-        ch.frames = FrameBuffer();
-        ch.busy = false;
-        ch.dead = true;
-        // A worker can die uncleanly after delivering its last record
-        // (e.g. SIGKILL between the final write and exit, or a
-        // post-timeout salvage read draining the pipe); with no point
-        // still owed there is nothing to retry.
-        if (ch.owed.empty()) {
-            if (!clean)
-                ++out.shard.crashes;
-            return;
-        }
-        ++out.shard.crashes;
-        if (ch.timedOut)
-            ++out.shard.timeouts;
-        const size_t suspect = ch.owed.front();
-        ++retries[suspect];
-        const double delay =
-            opts.backoffSeconds *
-            static_cast<double>(
-                1u << std::min(retries[suspect] - 1, 6));
-        if (retries[suspect] > opts.maxRetries) {
-            warn("point ", suspect, " (",
-                 plan.specs()[suspect].canonicalText(), ") ",
-                 ch.timedOut ? "hung" : "crashed", " its worker ",
-                 retries[suspect],
-                 " time(s); recording a gap and moving on");
-            ch.owed.pop_front();
-            done[suspect] = true; // stays an invalid RunResult
-            ++doneCount;
-            ++out.shard.gaps;
-        } else {
-            ++out.shard.retries;
-            notBefore[suspect] =
-                now + std::chrono::duration_cast<Clock::duration>(
-                          std::chrono::duration<double>(delay));
-        }
-        // Requeue in front, preserving manifest order, so the suspect
-        // (if retried) and its followers run next.
-        for (auto it = ch.owed.rbegin(); it != ch.owed.rend(); ++it)
-            pending.push_front(*it);
-        ch.owed.clear();
-    }
-
-    /** Drop dead remote channels, keeping their telemetry samples. */
-    void reapChannels()
-    {
-        for (auto it = channels.begin(); it != channels.end();) {
-            Channel &ch = **it;
-            if (ch.isRemote && ch.dead) {
-                retireRemote(ch);
-                it = channels.erase(it);
-            } else {
-                if (!ch.isRemote && ch.dead) {
-                    // Local slots are reused: the next dispatch with
-                    // eligible work respawns the subprocess.
-                    ch.dead = false;
-                    ch.timedOut = false;
-                }
-                ++it;
-            }
-        }
-    }
-
-    void retireRemote(const Channel &ch)
-    {
-        ShardSample sample;
-        sample.shard = static_cast<int>(localCount +
-                                        retiredRemotes.size());
-        sample.peer = ch.peer;
-        sample.remote = true;
-        sample.points = ch.points;
-        sample.busySeconds = ch.busySeconds;
-        sample.respawns = ch.respawns;
-        retiredRemotes.push_back(sample);
-    }
-
-    void pollOnce(int max_wait_ms)
-    {
-        Clock::time_point now = Clock::now();
-        dispatch(now);
-
-        std::vector<struct pollfd> fds;
-        std::vector<Channel *> fd_channel;
-        for (auto &ch : channels) {
-            if (ch->live() && ch->readFd() >= 0) {
-                fds.push_back({ch->readFd(), POLLIN, 0});
-                fd_channel.push_back(ch.get());
-            }
-        }
-        // Wake early enough for the nearest watchdog or backoff
-        // deadline; max_wait_ms bounds the idle re-check either way.
-        int timeout_ms = std::max(1, max_wait_ms);
-        auto considerDeadline = [&](Clock::time_point when) {
-            double ms = std::chrono::duration<double, std::milli>(
-                            when - now)
-                            .count();
-            timeout_ms = std::max(
-                1, std::min(timeout_ms, static_cast<int>(ms) + 1));
-        };
-        for (auto &ch : channels) {
-            if (ch->live() && ch->busy &&
-                opts.pointTimeoutSeconds > 0.0) {
-                considerDeadline(
-                    ch->lastProgress +
-                    std::chrono::duration_cast<Clock::duration>(
-                        std::chrono::duration<double>(
-                            opts.pointTimeoutSeconds)));
-            }
-        }
-        if (!pending.empty()) {
-            for (size_t i : pending) {
-                if (notBefore[i] > now)
-                    considerDeadline(notBefore[i]);
-            }
-        }
-        ::poll(fds.empty() ? nullptr : fds.data(), fds.size(),
-               timeout_ms);
-
-        now = Clock::now();
-        for (auto &chp : channels) {
-            Channel &ch = *chp;
-            if (!ch.live())
-                continue;
-            const bool open = drainChannel(ch);
-            processFrames(ch);
-            if (ch.dead || !open) {
-                handleDeath(ch, now);
-                continue;
-            }
-            if (ch.busy && opts.pointTimeoutSeconds > 0.0 &&
-                std::chrono::duration<double>(now - ch.lastProgress)
-                        .count() > opts.pointTimeoutSeconds) {
-                // Hung: kill, salvage already-sent records, then run
-                // the normal death protocol.
-                ch.timedOut = true;
-                if (ch.proc)
-                    ch.proc->kill();
-                drainChannel(ch);
-                processFrames(ch);
-                handleDeath(ch, now);
-            }
-        }
-        reapChannels();
-    }
-
-    PlanResults take(SweepTelemetry *telemetry)
-    {
-        MCSCOPE_ASSERT(!taken, "ShardExecutor results already taken");
-        taken = true;
-        // Orderly shutdown: close stdin so local workers exit 0, then
-        // reap; remote channels just close.
-        for (auto &ch : channels) {
-            if (ch->proc) {
-                ch->proc->closeStdin();
-                ch->proc->wait();
-                ch->proc.reset();
-            } else if (ch->fd >= 0) {
-                ::close(ch->fd);
-                ch->fd = -1;
-            }
-        }
-        out.wallSeconds = secondsSince(planStart);
-
-        for (size_t i = 0; i < n; ++i)
-            MCSCOPE_ASSERT(done[i], "sharded run left spec ", i,
-                           " unresolved");
-
-        out.stats.misses = out.shard.executed;
-        out.stats.simulations =
-            out.shard.executed -
-            std::min(out.shard.executed, out.shard.workerCacheHits);
-
-        if (telemetry)
-            fillTelemetry(*telemetry);
-        return std::move(out);
-    }
-
-    void fillTelemetry(SweepTelemetry &telemetry)
-    {
-        telemetry.jobs = static_cast<int>(
-            std::max<size_t>(1, localCount));
-        telemetry.wallSeconds = out.wallSeconds;
-        telemetry.journaled = out.shard.journaled;
-        telemetry.retries = out.shard.retries;
-        telemetry.gaps = out.shard.gaps;
-        telemetry.points.assign(plan.pointCount(), {});
-        for (size_t p = 0; p < plan.pointCount(); ++p) {
-            const size_t si = plan.specIndex(p);
-            const ScenarioSpec &spec = plan.specs()[si];
-            const RunResult &r = out.bySpec[si];
-            GridPointSample &sample = telemetry.points[p];
-            sample.ranks = spec.ranks;
-            sample.label = spec.option.label;
-            sample.valid = r.valid;
-            sample.wallSeconds = out.specWallSeconds[si];
-            sample.simSeconds = r.valid ? r.seconds : 0.0;
-            sample.events = r.events;
-            sample.incrementalSolves = r.incrementalSolves;
-            sample.fullSolves = r.fullSolves;
-            sample.calqueueOps = r.calqueueOps;
-            sample.calqueueResizes = r.calqueueResizes;
-        }
-        telemetry.shards.clear();
-        size_t shard_index = 0;
-        for (auto &ch : channels) {
-            if (ch->isRemote)
-                continue;
-            ShardSample sample;
-            sample.shard = static_cast<int>(shard_index++);
-            sample.peer = ch->peer;
-            sample.points = ch->points;
-            sample.busySeconds = ch->busySeconds;
-            sample.respawns = ch->respawns;
-            telemetry.shards.push_back(sample);
-        }
-        for (const ShardSample &s : retiredRemotes)
-            telemetry.shards.push_back(s);
-        for (auto &ch : channels) {
-            if (!ch->isRemote)
-                continue;
-            ShardSample sample;
-            sample.shard =
-                static_cast<int>(telemetry.shards.size());
-            sample.peer = ch->peer;
-            sample.remote = true;
-            sample.points = ch->points;
-            sample.busySeconds = ch->busySeconds;
-            sample.respawns = ch->respawns;
-            telemetry.shards.push_back(sample);
-        }
-    }
-};
-
-ShardExecutor::ShardExecutor(
-    const SweepPlan &plan, const ShardOptions &opts,
-    SweepJournal *shared_journal,
-    const std::unordered_map<uint64_t, RunResult> *known)
-    : impl_(std::make_unique<Impl>(plan, opts, shared_journal, known))
-{
-    ignoreSigpipeOnce();
-}
-
-ShardExecutor::~ShardExecutor() = default;
-
-void
-ShardExecutor::attachRemote(int fd, const std::string &peer)
-{
-    int flags = ::fcntl(fd, F_GETFL);
-    if (flags >= 0)
-        ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-    auto ch = std::make_unique<Impl::Channel>();
-    ch->fd = fd;
-    ch->isRemote = true;
-    ch->peer = peer.empty()
-                   ? "remote#" + std::to_string(impl_->remoteSeq)
-                   : peer;
-    ++impl_->remoteSeq;
-    ch->lastProgress = Clock::now();
-    impl_->channels.push_back(std::move(ch));
-}
-
-bool
-ShardExecutor::finished() const
-{
-    return impl_->doneCount == impl_->n;
-}
-
-void
-ShardExecutor::pollOnce(int max_wait_ms)
-{
-    impl_->pollOnce(max_wait_ms);
-}
-
-std::vector<ShardExecutor::Completion>
-ShardExecutor::drainCompletions()
-{
-    std::vector<Completion> out;
-    out.swap(impl_->completions);
-    return out;
-}
-
-const std::vector<std::optional<uint64_t>> &
-ShardExecutor::digests() const
-{
-    return impl_->digests;
-}
-
-const RunResult &
-ShardExecutor::resultFor(size_t spec) const
-{
-    MCSCOPE_ASSERT(spec < impl_->n, "resultFor(", spec,
-                   ") out of range");
-    return impl_->out.bySpec[spec];
-}
-
-size_t
-ShardExecutor::remoteWorkers() const
-{
-    size_t count = 0;
-    for (const auto &ch : impl_->channels) {
-        if (ch->isRemote && ch->live())
-            ++count;
-    }
-    return count;
-}
-
-std::vector<std::pair<int, std::string>>
-ShardExecutor::releaseRemotes()
-{
-    std::vector<std::pair<int, std::string>> released;
-    for (auto it = impl_->channels.begin();
-         it != impl_->channels.end();) {
-        Impl::Channel &ch = **it;
-        if (ch.isRemote && ch.live() && !ch.busy) {
-            impl_->retireRemote(ch);
-            released.emplace_back(ch.fd, ch.peer);
-            ch.fd = -1; // ownership moves to the caller
-            it = impl_->channels.erase(it);
-        } else {
-            ++it;
-        }
-    }
-    return released;
-}
-
 PlanResults
-ShardExecutor::take(SweepTelemetry *telemetry)
-{
-    return impl_->take(telemetry);
-}
-
-PlanResults
-runPlanSharded(const SweepPlan &plan, const ShardOptions &sopts,
+runPlanSharded(const SweepPlan &plan, const ShardOptions &opts,
                SweepTelemetry *telemetry)
 {
-    ShardOptions opts = sopts;
-    opts.shards = std::max(1, sopts.shards);
-    ShardExecutor executor(plan, opts);
-    while (!executor.finished())
-        executor.pollOnce(200);
-    return executor.take(telemetry);
+    return ShardSupervisor(plan, opts).run(telemetry);
 }
 
 OptionSweepResult

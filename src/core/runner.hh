@@ -46,7 +46,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "core/plan.hh"
@@ -284,9 +283,6 @@ struct ShardOptions
      */
     int maxRetries = 2;
 
-    /** Base respawn delay; doubles per retry of the suspect point. */
-    double backoffSeconds = 0.05;
-
     /** Write-ahead journal path; empty journals nothing. */
     std::string journalPath;
 
@@ -301,8 +297,7 @@ struct ShardOptions
 
     /**
      * Worker executable; empty resolves to the running binary
-     * (util/subprocess.hh selfExecutablePath, which honors
-     * MCSCOPE_WORKER_EXE).
+     * (util/subprocess.hh selfExecutablePath).
      */
     std::string workerExe;
 };
@@ -310,134 +305,25 @@ struct ShardOptions
 /**
  * Execute a plan across `opts.shards` worker subprocesses with
  * write-ahead journaling and crash recovery: every completed point is
- * journaled (fsync'd) before the sweep proceeds, dead or hung workers
- * are respawned with exponential backoff, and a point that keeps
- * killing workers becomes a gap instead of aborting the sweep.
- * Result ordering matches runPlan().  Fills `telemetry` (per-shard
- * occupancy included) when non-null.
+ * journaled (fsync'd) before the sweep proceeds, points a dead or
+ * hung worker still owed go to a fresh worker after an exponential
+ * backoff (0.05 s, doubled per retry of the same point), and a point
+ * that keeps killing workers becomes a gap instead of aborting the
+ * sweep.  Result ordering matches runPlan().  Fills `telemetry`
+ * (per-shard occupancy included) when non-null.
  */
 PlanResults runPlanSharded(const SweepPlan &plan,
                            const ShardOptions &opts,
                            SweepTelemetry *telemetry = nullptr);
 
 /**
- * Worker side of the sharded executor: read a shard manifest (JSON,
- * written by the supervisor) from `in`, execute its points in order,
- * and emit one JSON record line per completed point on `out`.
- * Honors MCSCOPE_FAULT_INJECT.  Returns a process exit code.
- */
-int runShardWorker(std::istream &in, std::ostream &out);
-
-/**
- * Framed worker loop (`mcscope worker --framed`, and the body of
- * `worker --connect` once the socket is up): read length-prefixed
- * manifest frames (util/transport.hh) from `in_fd`, execute each
- * manifest's points in order, and answer with one record frame per
- * point plus a done frame per manifest.  Unlike the line-oriented
- * runShardWorker(), the loop serves many manifests per connection and
- * exits 0 only on a clean EOF at a frame boundary.  Honors
+ * Worker side of the sharded executor (`mcscope worker`): read one
+ * shard manifest (JSON, written by the supervisor) from `in` to EOF,
+ * execute its points in order, and emit one JSON record line per
+ * completed point on `out`, then a done line.  Honors
  * MCSCOPE_FAULT_INJECT.  Returns a process exit code.
  */
-int runFramedShardWorker(int in_fd, int out_fd);
-
-class SweepJournal;
-
-/**
- * Incremental supervisor behind runPlanSharded() and `mcscope serve`
- * (DESIGN.md §14).  Owns a work queue of not-yet-done plan points and
- * a set of worker channels -- local fork/exec subprocesses and/or
- * remote TCP workers attached with attachRemote() -- all speaking the
- * same framed manifest/record protocol.  Callers drive it one poll
- * iteration at a time, which lets the serve daemon multiplex its own
- * listening socket and client connections between iterations:
- *
- *   ShardExecutor ex(plan, opts);
- *   while (!ex.finished())
- *       ex.pollOnce(200);
- *   PlanResults results = ex.take(telemetry);
- *
- * Crash recovery is channel-agnostic: a dead TCP worker degrades
- * exactly like a dead subprocess (its owed points are requeued, the
- * first still-owed point is the suspect, retries are bounded and
- * backoff-gated per point, and a point that keeps killing workers
- * becomes a gap).  The plan must outlive the executor.
- */
-class ShardExecutor
-{
-  public:
-    /**
-     * Prepare a run.  `shared_journal`/`known` are for the serve
-     * daemon: a journal owned by the caller that outlives this batch,
-     * and the digest -> result map of everything it already vouches
-     * for (those points complete instantly as journal hits).  When
-     * both are null the executor manages its own journal per
-     * opts.journalPath/opts.resumeFrom, exactly like runPlanSharded().
-     */
-    ShardExecutor(
-        const SweepPlan &plan, const ShardOptions &opts,
-        SweepJournal *shared_journal = nullptr,
-        const std::unordered_map<uint64_t, RunResult> *known = nullptr);
-    ~ShardExecutor();
-
-    ShardExecutor(const ShardExecutor &) = delete;
-    ShardExecutor &operator=(const ShardExecutor &) = delete;
-
-    /**
-     * Adopt a connected framed-worker socket (takes ownership of
-     * `fd`).  The worker joins the dispatch pool next pollOnce().
-     */
-    void attachRemote(int fd, const std::string &peer);
-
-    /** True once every plan point is done (journal hit, record, or gap). */
-    bool finished() const;
-
-    /**
-     * One supervisor iteration: dispatch manifests to idle channels,
-     * poll channel fds (bounded by `max_wait_ms` and the nearest
-     * watchdog/backoff deadline), consume records, and run the
-     * death/retry protocol for dead channels.
-     */
-    void pollOnce(int max_wait_ms);
-
-    /** One point that completed since the last drain. */
-    struct Completion
-    {
-        size_t spec = 0;          ///< plan spec index
-        double wallSeconds = 0.0; ///< worker-side wall time (0 for hits)
-        bool fromJournal = false; ///< satisfied by the journal, not run
-    };
-
-    /** Completions since the last call (journal hits included). */
-    std::vector<Completion> drainCompletions();
-
-    /** Per-spec content digests (nullopt = not content-addressable). */
-    const std::vector<std::optional<uint64_t>> &digests() const;
-
-    /** Result for a completed spec (invalid RunResult for gaps). */
-    const RunResult &resultFor(size_t spec) const;
-
-    /** Live remote worker channels currently attached. */
-    size_t remoteWorkers() const;
-
-    /**
-     * Detach every idle remote worker channel and return (fd, peer)
-     * pairs, ownership included -- the serve daemon parks them
-     * between batches.  Call when finished(); busy channels are never
-     * released.
-     */
-    std::vector<std::pair<int, std::string>> releaseRemotes();
-
-    /**
-     * Finalize: close local workers, assert every point is resolved,
-     * and return the results (fills `telemetry` when non-null).  The
-     * executor is spent afterwards.
-     */
-    PlanResults take(SweepTelemetry *telemetry = nullptr);
-
-  private:
-    struct Impl;
-    std::unique_ptr<Impl> impl_;
-};
+int runShardWorker(std::istream &in, std::ostream &out);
 
 } // namespace mcscope
 

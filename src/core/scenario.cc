@@ -408,7 +408,7 @@ parseScenarioSpec(const JsonValue &doc, std::string *error)
                                    preset)) {
                     // Zoo machines travel inline: the spec stays
                     // self-contained when shipped to a shard worker
-                    // or serve daemon that lacks the machine dir.
+                    // that lacks the machine dir.
                     s.machinePreset.clear();
                     s.machine = *zoo;
                 } else {

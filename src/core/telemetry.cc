@@ -107,12 +107,8 @@ SweepTelemetry::writeJson(std::ostream &os) const
                << ", \"points\": " << s.points
                << ", \"busy_seconds\": " << jsonNum(s.busySeconds)
                << ", \"occupancy\": " << jsonNum(share)
-               << ", \"respawns\": " << s.respawns;
-            if (!s.peer.empty())
-                os << ", \"peer\": \"" << jsonEscape(s.peer)
-                   << "\", \"remote\": "
-                   << (s.remote ? "true" : "false");
-            os << "}" << (i + 1 < shards.size() ? "," : "") << "\n";
+               << ", \"respawns\": " << s.respawns << "}"
+               << (i + 1 < shards.size() ? "," : "") << "\n";
         }
         os << "  ],\n";
     }

@@ -63,8 +63,6 @@ struct ShardSample
     uint64_t points = 0;      ///< points completed by this slot
     double busySeconds = 0.0; ///< summed per-point worker wall time
     uint64_t respawns = 0;    ///< worker relaunches after crash/hang
-    std::string peer;         ///< "local#N" or remote peer address
-    bool remote = false;      ///< worker attached over TCP (serve)
 };
 
 /** Telemetry for one whole sweep. */

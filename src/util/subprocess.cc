@@ -4,17 +4,36 @@
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
+#include <mutex>
 
 #include <fcntl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include "util/logging.hh"
-#include "util/transport.hh"
 
 namespace mcscope {
 
 namespace {
+
+/**
+ * Ignore SIGPIPE for the whole process, once, so a write to a child
+ * that already exited surfaces as EPIPE from write(2) instead of
+ * killing the process.  It is process-wide and never restored because
+ * a per-write save/restore races when two threads spawn workers
+ * concurrently: one thread's restore can re-arm SIGPIPE in the middle
+ * of the other's write.
+ */
+void
+ignoreSigpipeOnce()
+{
+    static std::once_flag once;
+    std::call_once(once, [] {
+        struct sigaction ignore = {};
+        ignore.sa_handler = SIG_IGN;
+        ::sigaction(SIGPIPE, &ignore, nullptr);
+    });
+}
 
 void
 setNonBlocking(int fd)
@@ -47,18 +66,13 @@ writeAll(int fd, const std::string &data)
 
 Subprocess::Subprocess(const std::vector<std::string> &argv,
                        const std::string &stdin_data,
-                       const std::vector<std::string> &extra_env,
-                       Stdin stdin_mode)
+                       const std::vector<std::string> &extra_env)
 {
     MCSCOPE_ASSERT(!argv.empty(), "subprocess needs an argv[0]");
 
-    // Dead-child writes must surface as EPIPE, not SIGPIPE.  This
-    // used to be a per-write sigaction save/restore around the
-    // manifest write below, which raced: two threads spawning workers
-    // concurrently could interleave so one thread's restore re-armed
-    // SIGPIPE in the middle of the other's write.  The process-wide
-    // ignore is set exactly once and never restored (nothing in
-    // mcscope wants SIGPIPE's kill-me default).
+    // Dead-child writes must surface as EPIPE, not SIGPIPE.  The
+    // process-wide ignore is set exactly once and never restored
+    // (nothing in mcscope wants SIGPIPE's kill-me default).
     ignoreSigpipeOnce();
 
     int in_pipe[2];  // parent writes -> child stdin
@@ -118,10 +132,7 @@ Subprocess::Subprocess(const std::vector<std::string> &argv,
     // (ctor), so an early-crashing child surfaces as a reaped status,
     // not a signal in the supervisor.
     writeAll(in_pipe[1], stdin_data);
-    if (stdin_mode == Stdin::Keep)
-        in_fd_ = in_pipe[1];
-    else
-        ::close(in_pipe[1]);
+    ::close(in_pipe[1]);
 }
 
 Subprocess::~Subprocess()
@@ -132,16 +143,6 @@ Subprocess::~Subprocess()
     }
     if (out_fd_ >= 0)
         ::close(out_fd_);
-    closeStdin();
-}
-
-void
-Subprocess::closeStdin()
-{
-    if (in_fd_ >= 0) {
-        ::close(in_fd_);
-        in_fd_ = -1;
-    }
 }
 
 bool
@@ -227,10 +228,6 @@ Subprocess::termSignal() const
 std::string
 selfExecutablePath()
 {
-    if (const char *env = std::getenv("MCSCOPE_WORKER_EXE")) {
-        if (*env)
-            return env;
-    }
     char buf[4096];
     ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
     if (n <= 0)

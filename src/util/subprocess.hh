@@ -8,12 +8,10 @@
  * fork/exec/pipe/waitpid choreography behind a small RAII class so
  * the supervisor logic stays readable:
  *
- *  - stdin is written in full at spawn time and then (by default)
- *    closed.  This is deadlock-free only because workers drain stdin
- *    completely before producing output; callers with chattier
- *    children would need a writer thread.  The framed executor keeps
- *    stdin open instead (KeepStdin) and feeds the child one
- *    length-prefixed manifest at a time over inFd().
+ *  - stdin is written in full at spawn time and then closed.  This
+ *    is deadlock-free only because workers drain stdin completely
+ *    before producing output; callers with chattier children would
+ *    need a writer thread.
  *  - stdout is exposed as a non-blocking file descriptor suitable for
  *    poll(2), so one supervisor thread can multiplex many workers.
  *  - stderr passes through to the parent's stderr (worker warnings
@@ -36,23 +34,15 @@ namespace mcscope {
 class Subprocess
 {
   public:
-    /** What to do with the child's stdin after `stdin_data`. */
-    enum class Stdin {
-        CloseAfterData, ///< write stdin_data, then close (legacy)
-        Keep,           ///< keep writable; see inFd()/closeStdin()
-    };
-
     /**
      * Fork and exec `argv` (argv[0] is the executable path), write
-     * `stdin_data` to the child's stdin, and close it (unless
-     * `stdin_mode` is Keep).  fatal() when the executable cannot be
-     * spawned.  Extra environment entries ("KEY=VALUE") are applied
-     * on top of the inherited environment.
+     * `stdin_data` to the child's stdin, and close it.  fatal() when
+     * the process cannot be forked.  Extra environment entries
+     * ("KEY=VALUE") are applied on top of the inherited environment.
      */
     Subprocess(const std::vector<std::string> &argv,
                const std::string &stdin_data,
-               const std::vector<std::string> &extra_env = {},
-               Stdin stdin_mode = Stdin::CloseAfterData);
+               const std::vector<std::string> &extra_env = {});
 
     /** Kills (SIGKILL) and reaps the child if still running. */
     ~Subprocess();
@@ -62,15 +52,6 @@ class Subprocess
 
     /** Non-blocking stdout read end; -1 after EOF was consumed. */
     int outFd() const { return out_fd_; }
-
-    /**
-     * Blocking stdin write end (Stdin::Keep only); -1 once closed or
-     * for CloseAfterData children.
-     */
-    int inFd() const { return in_fd_; }
-
-    /** Close the kept stdin end (the child sees EOF); idempotent. */
-    void closeStdin();
 
     /** Child pid (valid until reaped). */
     pid_t pid() const { return pid_; }
@@ -107,16 +88,13 @@ class Subprocess
   private:
     pid_t pid_ = -1;
     int out_fd_ = -1;
-    int in_fd_ = -1;
     bool exited_ = false;
     int status_ = 0;
 };
 
 /**
  * Absolute path of the running executable (/proc/self/exe), used by
- * the supervisor to re-invoke itself as `mcscope worker`.  The
- * MCSCOPE_WORKER_EXE environment variable overrides it (tests point
- * it at the real tool when the caller is a test binary).
+ * the supervisor to re-invoke itself as `mcscope worker`.
  */
 std::string selfExecutablePath();
 

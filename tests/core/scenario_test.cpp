@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -401,6 +402,33 @@ TEST(ResultCache, EntryParserRejectsNonsense)
             stripped.set(member.first, member.second);
     }
     EXPECT_FALSE(parseRunResult(stripped, digest).has_value());
+
+    // Counters read back as uint64_t: a value no uint64_t can hold
+    // must be rejected, never cast.
+    for (const char *counter :
+         {"events", "incremental_solves", "full_solves", "calqueue_ops",
+          "calqueue_resizes"}) {
+        JsonValue huge = runResultToJson(digest, r);
+        huge.set(counter, JsonValue::number(1e30));
+        EXPECT_FALSE(parseRunResult(huge, digest).has_value())
+            << counter;
+    }
+
+    RunResult audited = r;
+    audited.audited = true;
+    JsonValue checks = runResultToJson(digest, audited);
+    ASSERT_TRUE(parseRunResult(checks, digest).has_value());
+    checks.set("audit_checks", JsonValue::number(-1.0));
+    EXPECT_FALSE(parseRunResult(checks, digest).has_value());
+
+    // Phase times obey the same rule as the makespan.
+    for (double bad : {-1.0, std::numeric_limits<double>::infinity()}) {
+        JsonValue tagged = runResultToJson(digest, r);
+        JsonValue phases = JsonValue::object();
+        phases.set("3", JsonValue::number(bad));
+        tagged.set("tagged", std::move(phases));
+        EXPECT_FALSE(parseRunResult(tagged, digest).has_value()) << bad;
+    }
 }
 
 TEST(Runner, MemoryCacheServesSecondRun)

@@ -170,6 +170,64 @@ TEST(ShardResume, CrashAtEveryPointIndexResumesByteIdentical)
     }
 }
 
+/** Split text into lines, and each line into comma-separated cells. */
+std::vector<std::vector<std::string>>
+csvCells(const std::string &text)
+{
+    std::vector<std::vector<std::string>> rows;
+    size_t start = 0;
+    while (start < text.size()) {
+        size_t end = text.find('\n', start);
+        if (end == std::string::npos)
+            end = text.size();
+        std::vector<std::string> cells;
+        size_t cell = start;
+        for (size_t comma; (comma = text.find(',', cell)) < end;
+             cell = comma + 1)
+            cells.push_back(text.substr(cell, comma - cell));
+        cells.push_back(text.substr(cell, end - cell));
+        rows.push_back(std::move(cells));
+        start = end + 1;
+    }
+    return rows;
+}
+
+TEST(ShardResume, DefaultRetriesRespawnThenDegradeToOneGap)
+{
+    TempDir dir("shard_resume_retry");
+    const std::string spec = writeSpec(dir);
+
+    ToolRun golden = runTool({"batch", spec, "--csv"});
+    ASSERT_EQ(golden.exit, 0) << golden.out;
+
+    // Point 1 kills every worker that reaches it: the first death and
+    // the two default retries each spawn a fresh worker after backoff,
+    // and the third death turns the point into a gap.
+    ToolRun faulted =
+        runTool({"batch", spec, "--csv", "--shards", "2",
+                 "--cache-stats"},
+                {"MCSCOPE_FAULT_INJECT=crash:1"});
+    ASSERT_EQ(faulted.exit, 0) << faulted.out;
+    EXPECT_NE(faulted.out.find("1 gaps, 2 retries (3 crashes"),
+              std::string::npos)
+        << faulted.out;
+
+    const auto want = csvCells(golden.out);
+    auto got = csvCells(faulted.out);
+    ASSERT_EQ(got.size(), want.size() + 1) << faulted.out;
+    EXPECT_EQ(got.back()[0].rfind("journal: ", 0), 0u) << faulted.out;
+    got.pop_back();
+    size_t differing = 0;
+    for (size_t row = 0; row < want.size(); ++row) {
+        ASSERT_EQ(got[row].size(), want[row].size()) << "row " << row;
+        for (size_t col = 0; col < want[row].size(); ++col) {
+            if (got[row][col] != want[row][col])
+                ++differing;
+        }
+    }
+    EXPECT_EQ(differing, 1u) << faulted.out;
+}
+
 TEST(ShardResume, HangIsKilledByTimeoutAndResumable)
 {
     TempDir dir("shard_resume_hang");

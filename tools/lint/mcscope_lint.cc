@@ -181,9 +181,9 @@ const std::set<std::string> kFdOpenCalls = {"open", "openat", "creat",
                                             "mkostemp"};
 
 /**
- * Calls FD-1 requires SOCK_CLOEXEC on (the serve daemon's listener
- * and per-peer sockets must not leak into forked workers any more
- * than the journal descriptor may).
+ * Calls FD-1 requires SOCK_CLOEXEC on (any socket a future caller
+ * opens must not leak into forked workers any more than the journal
+ * descriptor may).
  */
 const std::set<std::string> kFdSocketCalls = {"socket", "accept4"};
 
