@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <ios>
-#include <iostream>
 #include <limits>
 #include <map>
 #include <memory>
@@ -43,8 +42,6 @@ const char *kUsage =
     "  sweep <workload> [flags]     numactl option x rank sweep\n"
     "  scaling <workload> [flags]   strong-scaling series\n"
     "  batch <spec.json> [flags]    execute a sweep-plan spec file\n"
-    "  worker                       shard worker (internal; reads one\n"
-    "                               manifest from stdin)\n"
     "flags: --machine M --ranks N[,N..] --option I|label\n"
     "       --machine-dir D  load machine definitions from D/*.json\n"
     "                into the registry before running any command\n"
@@ -57,23 +54,15 @@ const char *kUsage =
     "                (run/batch; batch also validates cache hits)\n"
     "       --jobs N run sweep/scaling/batch grid points on N threads\n"
     "                (default: MCSCOPE_JOBS, else 1)\n"
-    "       --cache-dir D    persist results under D and reuse them\n"
+    "       --cache-dir D    persist results under D and reuse them;\n"
+    "                        re-running an interrupted batch on the\n"
+    "                        same D resumes it (DESIGN.md §10)\n"
     "                        (default: MCSCOPE_CACHE_DIR, else memory)\n"
     "       --cache-stats    print hit/miss counters after the run\n"
     "       --trace-out FILE      Chrome trace_event JSON of the run\n"
     "       --timeline-out FILE   per-resource utilization CSV (run)\n"
     "       --timeline-buckets N  timeline resolution (default 64)\n"
-    "       --telemetry-out FILE  sweep telemetry JSON\n"
-    "batch fault tolerance (DESIGN.md §10):\n"
-    "       --shards N       run the plan across N worker processes\n"
-    "       --journal FILE   write-ahead journal of completed points\n"
-    "       --resume FILE    skip points already in FILE, append new\n"
-    "                        ones to it (unless --journal differs)\n"
-    "       --point-timeout S  kill a worker stuck >S seconds on one\n"
-    "                          point and retry it (default: off)\n"
-    "       --max-retries N  attempts before a point becomes a gap\n"
-    "                        (default 2; retries wait 0.05 s, doubled\n"
-    "                        per retry of the same point)\n";
+    "       --telemetry-out FILE  sweep telemetry JSON\n";
 
 /**
  * Parse a digits-only string as a non-negative integer.  Returns -1
@@ -118,28 +107,8 @@ struct CliFlags
     std::string telemetryOut;
     std::string cacheDir;
     bool cacheStats = false;
-    int shards = 0; // 0 = in-process runPlan path
-    std::string journal;
-    std::string resume;
-    double pointTimeout = 0.0;
-    int maxRetries = 2;
     std::string error;
 };
-
-/** Parse a non-negative decimal seconds value; NaN on bad input. */
-double
-parseSeconds(const std::string &s)
-{
-    if (s.empty())
-        return std::numeric_limits<double>::quiet_NaN();
-    errno = 0;
-    char *end = nullptr;
-    double v = std::strtod(s.c_str(), &end);
-    if (errno == ERANGE || end != s.c_str() + s.size() ||
-        !std::isfinite(v) || v < 0.0)
-        return std::numeric_limits<double>::quiet_NaN();
-    return v;
-}
 
 CliFlags
 parseFlags(const std::vector<std::string> &args, size_t start)
@@ -234,39 +203,6 @@ parseFlags(const std::vector<std::string> &args, size_t start)
             }
         } else if (a == "--cache-stats") {
             f.cacheStats = true;
-        } else if (a == "--shards") {
-            std::string v = next();
-            f.shards = parseDigits(v);
-            if (f.shards <= 0) {
-                f.error = "bad --shards value '" + v + "'";
-                return f;
-            }
-        } else if (a == "--journal") {
-            f.journal = next();
-            if (f.journal.empty()) {
-                f.error = "--journal needs a file name";
-                return f;
-            }
-        } else if (a == "--resume") {
-            f.resume = next();
-            if (f.resume.empty()) {
-                f.error = "--resume needs a journal file";
-                return f;
-            }
-        } else if (a == "--point-timeout") {
-            std::string v = next();
-            f.pointTimeout = parseSeconds(v);
-            if (std::isnan(f.pointTimeout) || f.pointTimeout <= 0.0) {
-                f.error = "bad --point-timeout value '" + v + "'";
-                return f;
-            }
-        } else if (a == "--max-retries") {
-            std::string v = next();
-            f.maxRetries = parseDigits(v);
-            if (f.maxRetries < 0) {
-                f.error = "bad --max-retries value '" + v + "'";
-                return f;
-            }
         } else if (a == "--detail") {
             f.detail = true;
         } else if (a == "--audit") {
@@ -676,7 +612,7 @@ cmdSweep(const std::vector<std::string> &args, std::ostream &out)
         }
         return 0;
     }
-    TextTable t(optionSweepHeader("Workload"));
+    TextTable t(optionSweepHeader("Workload", sweep.options));
     appendOptionSweepRows(t, sweep, args[1]);
     t.print(out);
     for (size_t i = 0; i < ranks.size(); ++i) {
@@ -807,72 +743,20 @@ cmdBatch(const std::vector<std::string> &args, std::ostream &out)
     SweepTelemetry telemetry;
     SweepTelemetry *want_telemetry =
         (!f.telemetryOut.empty() || f.detail) ? &telemetry : nullptr;
-    const bool sharded =
-        f.shards > 0 || !f.journal.empty() || !f.resume.empty();
-    PlanResults results;
-    if (sharded) {
-        ShardOptions sh;
-        sh.shards = f.shards > 0 ? f.shards : 1;
-        sh.pointTimeoutSeconds = f.pointTimeout;
-        sh.maxRetries = f.maxRetries;
-        sh.audit = f.audit;
-        sh.cacheDir = f.cacheDir;
-        if (sh.cacheDir.empty()) {
-            if (const char *env = std::getenv("MCSCOPE_CACHE_DIR"))
-                sh.cacheDir = env;
-        }
-        sh.resumeFrom = f.resume;
-        sh.journalPath = !f.journal.empty() ? f.journal : f.resume;
-        if (!sh.journalPath.empty() && sh.journalPath != f.resume) {
-            // A run must not silently append behind records it is not
-            // resuming from; continuing an existing journal is what
-            // --resume <journal> is for.
-            std::ifstream probe(sh.journalPath);
-            if (probe && probe.peek() != EOF) {
-                out << "batch: journal '" << sh.journalPath
-                    << "' already exists; use --resume to continue "
-                       "it or remove it first\n";
-                return 2;
-            }
-        }
-        results = runPlanSharded(*plan, sh, want_telemetry);
-    } else {
-        RunnerOptions opts;
-        opts.jobs = f.jobs;
-        opts.audit = f.audit;
-        opts.telemetry = want_telemetry;
-        std::unique_ptr<ResultCache> disk_cache = openFlagCache(f);
-        opts.cache = disk_cache.get();
-        results = runPlan(*plan, opts);
-    }
+    RunnerOptions opts;
+    opts.jobs = f.jobs;
+    opts.audit = f.audit;
+    opts.telemetry = want_telemetry;
+    std::unique_ptr<ResultCache> disk_cache = openFlagCache(f);
+    opts.cache = disk_cache.get();
+    PlanResults results = runPlan(*plan, opts);
     if (want_telemetry && !writeTelemetry(out, "batch", f, telemetry))
         return 2;
 
     renderBatchResults(*plan, results, f.csv, out);
-    if (f.cacheStats) {
-        if (sharded)
-            out << "journal: " << results.shard.summary() << "\n";
-        else
-            out << "cache: " << results.stats.summary() << "\n";
-    }
+    if (f.cacheStats)
+        out << "cache: " << results.stats.summary() << "\n";
     return 0;
-}
-
-/**
- * Shard worker: consume one manifest on stdin and stream one record
- * line per completed point.  Spawned by the batch supervisor; also
- * usable by hand for debugging a single shard.
- */
-int
-cmdWorker(const std::vector<std::string> &args, std::ostream &out)
-{
-    if (args.size() != 1) {
-        out << "worker: takes no arguments (reads a manifest on "
-               "stdin)\n"
-            << kUsage;
-        return 2;
-    }
-    return runShardWorker(std::cin, out);
 }
 
 } // namespace
@@ -942,8 +826,6 @@ runCli(const std::vector<std::string> &args, std::ostream &out)
         return cmdScaling(args2, out);
     if (cmd == "batch")
         return cmdBatch(args2, out);
-    if (cmd == "worker")
-        return cmdWorker(args2, out);
     out << "unknown command '" << cmd << "'\n" << kUsage;
     return 2;
 }

@@ -10,10 +10,9 @@
  *   sweep <workload> [flags]      Table 5 option x rank-count sweep
  *   scaling <workload> [flags]    strong-scaling series
  *   batch <spec.json> [flags]     execute a sweep-plan spec file;
- *                                 --shards/--journal/--resume add
- *                                 multi-process fault tolerance
- *   worker                        shard worker (internal protocol;
- *                                 one manifest on stdin)
+ *                                 --jobs N runs it on N threads, and
+ *                                 --cache-dir D stores each point so
+ *                                 a re-run on D resumes the batch
  *
  * Flags:
  *   --machine tiger|dmz|longs     (default longs)

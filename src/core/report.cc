@@ -113,7 +113,7 @@ renderBatchResults(const SweepPlan &plan, const PlanResults &results,
                 << machine.sockets << " sockets x "
                 << machine.coresPerSocket << " cores)\n";
         }
-        TextTable t(optionSweepHeader("Workload"));
+        TextTable t(optionSweepHeader("Workload", axes.options));
         bool first = true;
         for (size_t m = 0; m < variants; ++m) {
           for (size_t w = 0; w < axes.workloads.size(); ++w) {
@@ -135,10 +135,11 @@ renderBatchResults(const SweepPlan &plan, const PlanResults &results,
 }
 
 std::vector<std::string>
-optionSweepHeader(const std::string &row_label)
+optionSweepHeader(const std::string &row_label,
+                  const std::vector<NumactlOption> &options)
 {
     std::vector<std::string> header = {"MPI tasks", row_label};
-    for (const NumactlOption &opt : table5Options())
+    for (const NumactlOption &opt : options)
         header.push_back(opt.label);
     return header;
 }
@@ -160,7 +161,7 @@ TextTable
 optionSweepTable(const OptionSweepResult &sweep, const std::string &row_label,
                  int precision)
 {
-    TextTable table(optionSweepHeader("Label"));
+    TextTable table(optionSweepHeader("Label", sweep.options));
     appendOptionSweepRows(table, sweep, row_label, precision);
     return table;
 }

@@ -38,8 +38,15 @@ void appendOptionSweepRows(TextTable &table, const OptionSweepResult &sweep,
                            const std::string &row_label,
                            int precision = 2);
 
-/** Header row matching the Table 5 option order. */
-std::vector<std::string> optionSweepHeader(const std::string &row_label);
+/**
+ * Header row: "MPI tasks", the row label, then one column per option.
+ * Pass the sweep's own option list when it covers only part of
+ * Table 5, so each value sits under its option's label.
+ */
+std::vector<std::string>
+optionSweepHeader(const std::string &row_label,
+                  const std::vector<NumactlOption> &options =
+                      table5Options());
 
 /** Short row-label token for an MPI implementation axis value. */
 std::string implToken(MpiImpl impl);

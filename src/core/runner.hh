@@ -26,21 +26,16 @@
  *  - Workloads whose Workload::signature() is empty are not
  *    content-addressable and bypass the cache entirely.
  *
- * runPlanSharded() layers fault tolerance on top: the plan's points
- * are partitioned across `mcscope worker` subprocesses, every
- * completed point is appended to a write-ahead journal
- * (core/journal.hh) before the sweep proceeds, crashed or hung
- * workers are respawned with exponential backoff, and a point that
- * repeatedly kills its worker degrades to a reported gap instead of
- * aborting the sweep.  `--resume <journal>` re-executes only what the
- * journal does not already vouch for.
+ * Resuming an interrupted batch needs nothing beyond the disk tier
+ * (DESIGN.md §10): every point is stored the moment it finishes, so
+ * re-running the same plan against the same directory re-simulates
+ * only the points that never made it to disk.
  */
 
 #ifndef MCSCOPE_CORE_RUNNER_HH
 #define MCSCOPE_CORE_RUNNER_HH
 
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -123,7 +118,7 @@ JsonValue runResultToJson(uint64_t digest, const RunResult &result);
 std::optional<RunResult> parseRunResult(const JsonValue &doc,
                                         uint64_t expect_digest);
 
-/** 16-hex-digit spelling shared by cache files and journal records. */
+/** 16-hex-digit spelling of a digest, as used in cache file names. */
 std::string digestHex(uint64_t digest);
 std::optional<uint64_t> parseDigestHex(const std::string &s);
 
@@ -157,33 +152,6 @@ struct RunnerOptions
     SweepTelemetry *telemetry = nullptr;
 };
 
-/**
- * One deterministic fault-injection point, parsed from the
- * MCSCOPE_FAULT_INJECT environment variable.  Grammar:
- *
- *   MCSCOPE_FAULT_INJECT=kind:point[,kind:point...]
- *
- * where `kind` is `crash` (the worker SIGKILLs itself) or `hang` (the
- * worker stalls indefinitely) and `point` is the plan-wide spec index
- * the worker is about to execute when the fault fires.  Workers honor
- * this; supervisors ignore it, so the recovery path (retry, backoff,
- * gap degradation, resume) is exercisable in tests and CI without
- * flaky kill-timing.
- */
-struct FaultSpec
-{
-    enum class Kind { Crash, Hang };
-    Kind kind = Kind::Crash;
-    uint64_t point = 0;
-};
-
-/**
- * Parse a fault-injection plan.  Empty input is an empty plan;
- * malformed input returns nullopt and sets `error`.
- */
-std::optional<std::vector<FaultSpec>>
-parseFaultPlan(const std::string &text, std::string *error = nullptr);
-
 /** What one runPlan() call did. */
 struct RunnerStats
 {
@@ -205,21 +173,6 @@ struct RunnerStats
     std::string summary() const;
 };
 
-/** What one sharded (multi-process) run did beyond RunnerStats. */
-struct ShardRunStats
-{
-    uint64_t journaled = 0; ///< points satisfied from the resume journal
-    uint64_t executed = 0;  ///< points completed by workers this run
-    uint64_t retries = 0;   ///< point re-assignments after a worker died
-    uint64_t crashes = 0;   ///< worker deaths (non-zero exit or signal)
-    uint64_t timeouts = 0;  ///< workers killed for exceeding the timeout
-    uint64_t gaps = 0;      ///< points abandoned after maxRetries
-    uint64_t workerCacheHits = 0; ///< cache hits reported by workers
-
-    /** One-line human summary ("N from journal, M executed, ..."). */
-    std::string summary() const;
-};
-
 /** Results of one executed plan. */
 struct PlanResults
 {
@@ -233,9 +186,6 @@ struct PlanResults
     double wallSeconds = 0.0;
 
     RunnerStats stats;
-
-    /** Filled by runPlanSharded() only. */
-    ShardRunStats shard;
 
     /** Result behind grid point `point` of `plan`. */
     const RunResult &at(const SweepPlan &plan, size_t point) const;
@@ -261,69 +211,6 @@ OptionSweepResult optionSweepSlice(const SweepPlan &plan,
                                    const PlanResults &results, size_t w,
                                    size_t i, size_t s, int tag = -1,
                                    size_t m = 0);
-
-/** How to execute a plan across worker subprocesses (DESIGN.md §10). */
-struct ShardOptions
-{
-    /** Worker subprocess count. */
-    int shards = 1;
-
-    /**
-     * Per-point wall-clock budget in seconds; a worker that makes no
-     * progress for this long is killed and its current point retried.
-     * 0 disables the watchdog.
-     */
-    double pointTimeoutSeconds = 0.0;
-
-    /**
-     * How many times one point may take down a worker before the
-     * point degrades to a gap (an invalid result in the output) and
-     * the sweep moves on.  A gap is reported, never journaled, so a
-     * later --resume retries it.
-     */
-    int maxRetries = 2;
-
-    /** Write-ahead journal path; empty journals nothing. */
-    std::string journalPath;
-
-    /** Journal to preload; its points are skipped, not re-run. */
-    std::string resumeFrom;
-
-    /** Workers run every point under the invariant auditor. */
-    bool audit = false;
-
-    /** On-disk result cache directory handed to workers. */
-    std::string cacheDir;
-
-    /**
-     * Worker executable; empty resolves to the running binary
-     * (util/subprocess.hh selfExecutablePath).
-     */
-    std::string workerExe;
-};
-
-/**
- * Execute a plan across `opts.shards` worker subprocesses with
- * write-ahead journaling and crash recovery: every completed point is
- * journaled (fsync'd) before the sweep proceeds, points a dead or
- * hung worker still owed go to a fresh worker after an exponential
- * backoff (0.05 s, doubled per retry of the same point), and a point
- * that keeps killing workers becomes a gap instead of aborting the
- * sweep.  Result ordering matches runPlan().  Fills `telemetry`
- * (per-shard occupancy included) when non-null.
- */
-PlanResults runPlanSharded(const SweepPlan &plan,
-                           const ShardOptions &opts,
-                           SweepTelemetry *telemetry = nullptr);
-
-/**
- * Worker side of the sharded executor (`mcscope worker`): read one
- * shard manifest (JSON, written by the supervisor) from `in` to EOF,
- * execute its points in order, and emit one JSON record line per
- * completed point on `out`, then a done line.  Honors
- * MCSCOPE_FAULT_INJECT.  Returns a process exit code.
- */
-int runShardWorker(std::istream &in, std::ostream &out);
 
 } // namespace mcscope
 

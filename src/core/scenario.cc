@@ -406,9 +406,9 @@ parseScenarioSpec(const JsonValue &doc, std::string *error)
                 } else if (const MachineConfig *zoo =
                                MachineRegistry::instance().find(
                                    preset)) {
-                    // Zoo machines travel inline: the spec stays
-                    // self-contained when shipped to a shard worker
-                    // that lacks the machine dir.
+                    // Zoo machines travel inline: the spec's digest
+                    // covers the definition itself, so an edited
+                    // machine file never hits a stale cache entry.
                     s.machinePreset.clear();
                     s.machine = *zoo;
                 } else {

@@ -45,22 +45,12 @@ SweepTelemetry::occupancy() const
 std::string
 SweepTelemetry::summary() const
 {
-    std::string out = std::to_string(points.size()) + " grid points in " +
-                      formatFixed(wallSeconds, 3) + " s wall, " +
-                      formatFixed(eventsPerSecond() / 1e6, 2) +
-                      "M events/s, occupancy " +
-                      formatFixed(occupancy() * 100.0, 0) + "% (jobs " +
-                      std::to_string(jobs) + ")";
-    if (!shards.empty()) {
-        out += ", " + std::to_string(shards.size()) + " shards";
-        if (journaled)
-            out += ", " + std::to_string(journaled) + " from journal";
-        if (retries)
-            out += ", " + std::to_string(retries) + " retries";
-        if (gaps)
-            out += ", " + std::to_string(gaps) + " gaps";
-    }
-    return out;
+    return std::to_string(points.size()) + " grid points in " +
+           formatFixed(wallSeconds, 3) + " s wall, " +
+           formatFixed(eventsPerSecond() / 1e6, 2) +
+           "M events/s, occupancy " +
+           formatFixed(occupancy() * 100.0, 0) + "% (jobs " +
+           std::to_string(jobs) + ")";
 }
 
 namespace {
@@ -90,28 +80,6 @@ SweepTelemetry::writeJson(std::ostream &os) const
        << "  \"events_per_second\": " << jsonNum(eventsPerSecond())
        << ",\n"
        << "  \"occupancy\": " << jsonNum(occupancy()) << ",\n";
-    if (!shards.empty()) {
-        // Sharded batch runs: per-shard occupancy plus the recovery
-        // counters, so a post-mortem can see which worker slot
-        // dragged and how much work the journal saved.
-        os << "  \"journaled\": " << journaled << ",\n"
-           << "  \"retries\": " << retries << ",\n"
-           << "  \"gaps\": " << gaps << ",\n"
-           << "  \"shards\": [\n";
-        for (size_t i = 0; i < shards.size(); ++i) {
-            const ShardSample &s = shards[i];
-            double share = wallSeconds > 0.0
-                               ? s.busySeconds / wallSeconds
-                               : 0.0;
-            os << "    {\"shard\": " << s.shard
-               << ", \"points\": " << s.points
-               << ", \"busy_seconds\": " << jsonNum(s.busySeconds)
-               << ", \"occupancy\": " << jsonNum(share)
-               << ", \"respawns\": " << s.respawns << "}"
-               << (i + 1 < shards.size() ? "," : "") << "\n";
-        }
-        os << "  ],\n";
-    }
     os << "  \"points\": [\n";
     for (size_t i = 0; i < points.size(); ++i) {
         const GridPointSample &p = points[i];

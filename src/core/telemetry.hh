@@ -56,19 +56,10 @@ struct GridPointSample
     uint64_t calqueueResizes = 0;
 };
 
-/** Per-shard accounting for sharded batch runs (core/runner.hh). */
-struct ShardSample
-{
-    int shard = 0;            ///< shard slot index
-    uint64_t points = 0;      ///< points completed by this slot
-    double busySeconds = 0.0; ///< summed per-point worker wall time
-    uint64_t respawns = 0;    ///< worker relaunches after crash/hang
-};
-
 /** Telemetry for one whole sweep. */
 struct SweepTelemetry
 {
-    /** Worker thread (or shard subprocess) budget the sweep ran with. */
+    /** Worker thread budget the sweep ran with. */
     int jobs = 1;
 
     /** Wall time of the whole sweep (parallel section included). */
@@ -76,18 +67,6 @@ struct SweepTelemetry
 
     /** One sample per grid point, in (rank, option) order. */
     std::vector<GridPointSample> points;
-
-    /** One sample per shard slot; empty for in-process sweeps. */
-    std::vector<ShardSample> shards;
-
-    /** Points satisfied from the resume journal (sharded runs). */
-    uint64_t journaled = 0;
-
-    /** Point re-assignments after worker deaths (sharded runs). */
-    uint64_t retries = 0;
-
-    /** Points abandoned after exhausting retries (sharded runs). */
-    uint64_t gaps = 0;
 
     /** Engine events summed over all grid points. */
     uint64_t totalEvents() const;

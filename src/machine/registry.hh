@@ -9,15 +9,15 @@
  * machine per file, in directories named by the --machine-dir CLI flag
  * or the MCSCOPE_MACHINE_DIR environment variable.
  *
- * Name resolution rules, chosen so distributed execution stays
- * self-contained:
+ * Name resolution rules, chosen so a spec always names its machine by
+ * content:
  *  - Builtin names resolve to *preset tokens* in scenario specs, which
  *    canonicalize()/canonicalText() collapse as before.  Their digests
  *    are untouched by the registry's existence.
  *  - Zoo names resolve to *inline* MachineConfigs: a spec or sweep
- *    plan shipped to a shard worker or a serve daemon carries the full
- *    machine definition, so the receiving process never needs the
- *    sender's machine directory.
+ *    plan carries the full machine definition, so its digest (and so
+ *    its result-cache entry) changes whenever the definition file
+ *    does, and a serialized spec never needs the machine directory.
  */
 
 #ifndef MCSCOPE_MACHINE_REGISTRY_HH

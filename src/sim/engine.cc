@@ -583,11 +583,7 @@ Engine::allocGuardCapacitySum(const std::vector<int> &to_advance) const
     size_t incidence = resFlows_.capacity();
     for (const auto &list : resFlows_)
         incidence += list.capacity();
-    return specScratch_.capacity() + fsScratch_.rates.capacity() +
-           fsScratch_.frozen.capacity() +
-           fsScratch_.residual.capacity() +
-           fsScratch_.users.capacity() +
-           fsScratch_.saturated.capacity() +
+    return specScratch_.capacity() + fsScratch_.capacitySum() +
            auditScratch_.capacity() + timelineBusy_.capacity() +
            readyQueue_.capacity() + to_advance.capacity() +
            flowRemaining_.capacity() + flowPath_.capacity() +

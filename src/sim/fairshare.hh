@@ -70,6 +70,27 @@ struct FairShareScratch
     std::vector<double> specCaps;
     std::vector<int> specSlots;
     std::vector<ResourceId> allRes;
+
+    /**
+     * Summed buffer capacities over every member, for the engine's
+     * alloc-guard capacity signature (sim/alloc_guard.hh): growth of
+     * any scratch array is then excused as warm-up, never read as a
+     * steady-state allocation.  A new member belongs here too.
+     */
+    size_t
+    capacitySum() const
+    {
+        size_t sum = rates.capacity() + frozen.capacity() +
+                     residual.capacity() + users.capacity() +
+                     saturated.capacity() + parent.capacity() +
+                     flowRoot.capacity() + compFlows.capacity() +
+                     compRes.capacity() + specPaths.capacity() +
+                     specCaps.capacity() + specSlots.capacity() +
+                     allRes.capacity();
+        for (const PathVec &p : specPaths)
+            sum += p.capacity();
+        return sum;
+    }
 };
 
 /**

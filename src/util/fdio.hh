@@ -3,13 +3,13 @@
  * Raw-fd whole-file helpers with O_CLOEXEC hygiene.
  *
  * std::ifstream / std::ofstream give no way to set O_CLOEXEC on the
- * descriptors they open, so any stream held open while another thread
- * forks a worker (the sharded-sweep supervisor does exactly that)
- * leaks the descriptor into the child across exec.  These helpers
- * cover the two patterns the result cache and journal need --
+ * descriptors they open, so any stream held open while an embedding
+ * program forks a child leaks the descriptor into it across exec.
+ * These helpers cover the two patterns the result cache needs --
  * whole-file read, and atomic replace-by-rename write -- with
  * O_CLOEXEC set at open(2)/mkostemp(3) time, so there is no
- * fcntl(FD_CLOEXEC) window for a concurrent fork to exploit.
+ * fcntl(FD_CLOEXEC) window for a concurrent fork to exploit (lint
+ * rule FD-1).
  *
  * The atomic writer also fixes a same-process race the old
  * "<final>.tmp.<pid>" scheme had: two threads storing the same cache

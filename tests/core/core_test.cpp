@@ -6,14 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
 #include "core/calibration.hh"
 #include "core/experiment.hh"
 #include "core/metrics.hh"
+#include "core/plan.hh"
 #include "core/registry.hh"
 #include "core/report.hh"
+#include "core/runner.hh"
 #include "kernels/stream.hh"
 #include "machine/config.hh"
 
@@ -154,6 +157,40 @@ TEST(Report, OptionSweepTablePrintsDashesForInvalid)
     EXPECT_NE(s.find("One MPI + Local Alloc"), std::string::npos);
     EXPECT_NE(s.find("STREAM"), std::string::npos);
     EXPECT_NE(s.find(" - "), std::string::npos);
+}
+
+TEST(Report, BatchTableLabelsOnlyThePlanOptions)
+{
+    // A plan over options {0, 3} has two value columns; the human
+    // table must label them "Default" and "Two MPI + Local Alloc",
+    // not the first two of all six Table 5 options.
+    std::string error;
+    std::optional<SweepPlan> plan = SweepPlan::fromJson(
+        *parseJson(R"({"machine": "dmz", "workloads": ["nas-ep-b"],
+                       "ranks": [2, 4], "options": [0, 3]})"),
+        &error);
+    ASSERT_TRUE(plan.has_value()) << error;
+    ResultCache cache;
+    RunnerOptions opts;
+    opts.cache = &cache;
+    PlanResults results = runPlan(*plan, opts);
+
+    std::ostringstream out;
+    renderBatchResults(*plan, results, /*csv=*/false, out);
+    std::istringstream lines(out.str());
+    std::string banner, header, rule, row;
+    std::getline(lines, banner);
+    std::getline(lines, header);
+    std::getline(lines, rule);
+    std::getline(lines, row);
+    EXPECT_NE(header.find("Two MPI + Local Alloc"), std::string::npos)
+        << out.str();
+    EXPECT_EQ(header.find("One MPI"), std::string::npos) << out.str();
+    auto columns = [](const std::string &line) {
+        return std::count(line.begin(), line.end(), '|');
+    };
+    EXPECT_EQ(columns(header), 3) << out.str();
+    EXPECT_EQ(columns(row), columns(header)) << out.str();
 }
 
 TEST(Report, SpeedupTableShape)

@@ -431,6 +431,43 @@ TEST(ResultCache, EntryParserRejectsNonsense)
     }
 }
 
+TEST(ResultCache, PoisonedTaggedKeyReadsAsCorruptNotCrash)
+{
+    // Regression: a tagged-seconds key too large for int used to go
+    // through std::stoi, which throws std::out_of_range.  A poisoned
+    // disk entry must read as corrupt (the point is re-simulated),
+    // never as a crash.
+    RunResult r;
+    r.valid = true;
+    r.seconds = 3.0;
+    r.taggedSeconds[1] = 2.25;
+    const uint64_t digest = 0x99;
+    std::string entry = runResultToJson(digest, r).dump();
+    const std::string needle = "\"1\":";
+    const size_t pos = entry.find(needle);
+    ASSERT_NE(pos, std::string::npos) << entry;
+    entry.replace(pos, needle.size(), "\"99999999999999999999\":");
+
+    TempDir dir("poisoned_tag");
+    std::ofstream(dir.path() + "/" + digestHex(digest) + ".json")
+        << entry;
+    ResultCache cache(dir.path());
+    EXPECT_FALSE(cache.lookup(digest).has_value());
+    EXPECT_EQ(cache.stats().corrupt, 1u);
+    EXPECT_EQ(cache.stats().diskHits, 0u);
+}
+
+TEST(DigestHex, RoundTripsAndRejects)
+{
+    EXPECT_EQ(digestHex(0x0123456789abcdefULL), "0123456789abcdef");
+    auto parsed = parseDigestHex("0123456789abcdef");
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_EQ(*parsed, 0x0123456789abcdefULL);
+    EXPECT_FALSE(parseDigestHex("123"));             // short
+    EXPECT_FALSE(parseDigestHex("0123456789abcdeg")); // non-hex
+    EXPECT_FALSE(parseDigestHex("0123456789ABCDEF")); // upper-case
+}
+
 TEST(Runner, MemoryCacheServesSecondRun)
 {
     SweepPlan plan = tinyPlan();

@@ -1,12 +1,11 @@
 /**
  * @file
- * Thread/process-concurrency stress suite (ctest label: race).
+ * Thread-concurrency stress suite (ctest label: race).
  *
  * These tests exist to give ThreadSanitizer something to bite on:
- * they hammer the three places the project shares state across
- * threads -- the parallelFor executor, the ResultCache memory+disk
- * tiers, and the runPlanSharded supervisor poll loop -- with far more
- * contention than any real sweep produces.  They assert functional
+ * they hammer the two places the project shares state across
+ * threads -- the parallelFor executor and the ResultCache memory+disk
+ * tiers -- with far more contention than any real sweep produces.  They assert functional
  * correctness too (no lost updates, no torn cache entries), so they
  * earn their keep even in non-TSan builds, but the primary consumer
  * is the `ctest -L race` leg of the sanitizer CI job.
@@ -23,12 +22,9 @@
 
 #include <unistd.h>
 
-#include "core/journal.hh"
 #include "core/parallel_for.hh"
 #include "core/plan.hh"
 #include "core/runner.hh"
-#include "machine/config.hh"
-#include "util/subprocess.hh"
 
 namespace mcscope {
 namespace {
@@ -48,10 +44,6 @@ class TempDir
     ~TempDir() { std::filesystem::remove_all(path_); }
 
     const std::string &path() const { return path_; }
-    std::string file(const std::string &name) const
-    {
-        return path_ + "/" + name;
-    }
 
   private:
     std::string path_;
@@ -66,20 +58,6 @@ tinyPlan()
     axes.workloads = {"nas-ep-b"};
     axes.rankCounts = {2};
     axes.options = {table5Options().front()};
-    return SweepPlan::expand(axes);
-}
-
-/** A few-point plan so a 2-shard run actually interleaves workers.
- *  (ranks stay <= 2: 'One MPI + Local Alloc' pins every rank to one
- *  DMZ socket, so 4 ranks would be an infeasible point.) */
-SweepPlan
-shardedPlan()
-{
-    SweepAxes axes;
-    axes.machinePreset = "dmz";
-    axes.workloads = {"nas-ep-b"};
-    axes.rankCounts = {1, 2};
-    axes.options = {table5Options().front(), table5Options()[1]};
     return SweepPlan::expand(axes);
 }
 
@@ -208,90 +186,6 @@ TEST(RaceStress, TwoCacheInstancesShareOneDirectory)
         EXPECT_TRUE(hit->fromDisk) << i;
     }
     EXPECT_EQ(later.stats().corrupt, 0u);
-}
-
-TEST(RaceStress, ConcurrentSpawnsToDeadChildrenSurviveEpipe)
-{
-    // Regression for the per-write SIGPIPE save/restore race: the old
-    // Subprocess code wrapped each manifest write in a sigaction
-    // save/restore pair, so two threads spawning workers concurrently
-    // could interleave as [A saves, B saves, A restores(default),
-    // A... gets killed by SIGPIPE mid-write].  The fix ignores
-    // SIGPIPE process-wide, exactly once.
-    //
-    // Each child is /bin/true: it exits before draining stdin, and
-    // the payload exceeds any pipe buffer, so every spawn drives
-    // writeAll() into EPIPE territory.  Under TSan this also checks
-    // the once-flag itself; under any build, surviving to the end
-    // proves no thread reverted the disposition mid-write.
-    const std::string payload(4u << 20, 'x'); // >> 64 KiB pipe buffer
-    constexpr int kThreads = 8;
-    constexpr int kSpawnsPerThread = 16;
-    std::atomic<int> reaped{0};
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&] {
-            for (int i = 0; i < kSpawnsPerThread; ++i) {
-                Subprocess child({"/bin/true"}, payload);
-                child.wait();
-                if (child.exitCode() == 0)
-                    reaped.fetch_add(1, std::memory_order_relaxed);
-            }
-        });
-    }
-    for (auto &th : threads)
-        th.join();
-    // Reaching this line at all is the real assertion (SIGPIPE's
-    // default disposition kills the whole process); the count checks
-    // that no spawn was lost or mis-reaped along the way.
-    EXPECT_EQ(reaped.load(), kThreads * kSpawnsPerThread);
-}
-
-TEST(RaceStress, ShardedSupervisorRunsUnderCacheContention)
-{
-    // The supervisor's worker poll loop and journal appends run while
-    // other threads hammer the same on-disk cache directory the
-    // workers write through -- the full cross-process + cross-thread
-    // surface of DESIGN.md §10 in one pot.
-    TempDir dir("sharded");
-    SweepPlan plan = shardedPlan();
-
-    ShardOptions opts;
-    opts.shards = 2;
-    opts.journalPath = dir.file("journal.jsonl");
-    opts.cacheDir = dir.file("cache");
-    opts.workerExe = MCSCOPE_TOOL_PATH;
-
-    std::atomic<bool> stop{false};
-    std::thread noise([&] {
-        ResultCache side(dir.file("cache"));
-        const RunResult &sample = sampleResult();
-        uint64_t i = 0;
-        while (!stop.load(std::memory_order_relaxed)) {
-            const uint64_t digest = 0x7f4a7c1500000000ull + (i % 32);
-            side.store(digest, sample);
-            side.lookup(digest);
-            ++i;
-        }
-    });
-
-    PlanResults results = runPlanSharded(plan, opts);
-    stop.store(true);
-    noise.join();
-
-    ASSERT_EQ(results.bySpec.size(), plan.specs().size());
-    for (size_t i = 0; i < results.bySpec.size(); ++i)
-        EXPECT_TRUE(results.bySpec[i].valid) << "spec " << i;
-    EXPECT_EQ(results.shard.gaps, 0u);
-    EXPECT_EQ(results.shard.executed + results.shard.journaled,
-              plan.specs().size());
-
-    // The journal must have vouched for every executed point.
-    JournalLoadStats stats;
-    auto journaled = loadJournal(opts.journalPath, &stats);
-    EXPECT_EQ(stats.corrupt, 0u);
-    EXPECT_EQ(journaled.size(), plan.specs().size());
 }
 
 } // namespace

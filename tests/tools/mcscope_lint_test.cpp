@@ -17,15 +17,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
-#include <poll.h>
+#include <sys/wait.h>
 #include <unistd.h>
-
-#include "util/subprocess.hh"
 
 namespace mcscope {
 namespace {
@@ -68,21 +67,38 @@ struct LintRun
     std::string out;
 };
 
-/** Run mcscope-lint to completion, capturing stdout. */
+/** `arg` single-quoted for /bin/sh. */
+std::string
+shellQuote(const std::string &arg)
+{
+    std::string quoted = "'";
+    for (char c : arg) {
+        if (c == '\'')
+            quoted += "'\\''";
+        else
+            quoted += c;
+    }
+    return quoted + "'";
+}
+
+/** Run mcscope-lint to completion through popen, capturing stdout. */
 LintRun
 runLint(const std::vector<std::string> &args)
 {
-    std::vector<std::string> argv{MCSCOPE_LINT_PATH};
-    argv.insert(argv.end(), args.begin(), args.end());
-    Subprocess proc(argv, /*stdin_data=*/"");
+    std::string cmd = shellQuote(MCSCOPE_LINT_PATH);
+    for (const std::string &a : args)
+        cmd += " " + shellQuote(a);
+    cmd += " < /dev/null";
     LintRun run;
-    while (proc.readAvailable(run.out)) {
-        struct pollfd pfd = {proc.outFd(), POLLIN, 0};
-        if (pfd.fd >= 0)
-            ::poll(&pfd, 1, 50);
-    }
-    proc.wait();
-    run.exit = proc.exitCode();
+    FILE *pipe = ::popen(cmd.c_str(), "r");
+    if (!pipe)
+        return run;
+    char buf[4096];
+    for (size_t n; (n = std::fread(buf, 1, sizeof(buf), pipe)) > 0;)
+        run.out.append(buf, n);
+    const int status = ::pclose(pipe);
+    if (status != -1 && WIFEXITED(status))
+        run.exit = WEXITSTATUS(status);
     return run;
 }
 
@@ -137,7 +153,7 @@ int h(Gen *gen) { return gen->rand(); }
 TEST(Lint, Det2FlagsUnorderedIteration)
 {
     TempTree t("det2");
-    t.write("src/core/journal_fixture.cc", R"lint(
+    t.write("src/core/runner_fixture.cc", R"lint(
 #include <unordered_map>
 int sum()
 {
@@ -245,7 +261,7 @@ double field(const char *s, bool *valid)
 TEST(Lint, Det2AllowsLookupOnlyUse)
 {
     TempTree t("det2ok");
-    t.write("src/core/journal_fixture.cc", R"lint(
+    t.write("src/core/runner_fixture.cc", R"lint(
 #include <unordered_map>
 int lookup(int key)
 {
@@ -385,7 +401,7 @@ int spawn() { return fork(); }
     EXPECT_EQ(countOccurrences(run.out, "FD-1"), 3u) << run.out;
 }
 
-TEST(Lint, Fd1AcceptsCloexecAndSubprocessUnit)
+TEST(Lint, Fd1AcceptsCloexecAndFlagsSpawnInEveryUnit)
 {
     TempTree t("fd1ok");
     t.write("src/util/other.cc", R"lint(
@@ -393,13 +409,24 @@ TEST(Lint, Fd1AcceptsCloexecAndSubprocessUnit)
 int good(const char *p) { return open(p, O_RDONLY | O_CLOEXEC); }
 int tmp(char *tmpl) { return mkostemp(tmpl, O_CLOEXEC); }
 )lint");
-    // fork/exec are allowed only in the Subprocess wrapper.
+    LintRun clean = runLint({t.root()});
+    EXPECT_EQ(clean.exit, 0) << clean.out;
+
+    // Batches run in-process, so no unit may spawn -- not even the
+    // one that used to wrap fork/exec for shard workers.
     t.write("src/util/subprocess.cc", R"lint(
 #include <unistd.h>
 int spawn() { return fork(); }
 )lint");
+    t.write("src/core/runner.cc", R"lint(
+#include <unistd.h>
+int relaunch(char *const *argv) { return execv(argv[0], argv); }
+)lint");
     LintRun run = runLint({t.root()});
-    EXPECT_EQ(run.exit, 0) << run.out;
+    EXPECT_EQ(run.exit, 1) << run.out;
+    EXPECT_EQ(countOccurrences(run.out, "FD-1"), 2u) << run.out;
+    EXPECT_NE(run.out.find("subprocess.cc"), std::string::npos)
+        << run.out;
 }
 
 TEST(Lint, Fd1FlagsSocketsWithoutCloexec)

@@ -16,8 +16,8 @@
  *           std::random_device, time(NULL)) in src/sim, src/core, or
  *           src/kernels -- simulations must be bit-deterministic.
  *   DET-2   no iteration over std::unordered_map / std::unordered_set
- *           in ordered-output units (journal, runner, scenario, plan,
- *           json): iteration order is implementation-defined and would
+ *           in ordered-output units (runner, scenario, plan, json,
+ *           ...): iteration order is implementation-defined and would
  *           silently break content digests and byte-identical resume.
  *   HOT-1   no heap activity between // MCSCOPE_HOT_BEGIN and
  *           // MCSCOPE_HOT_END markers: no new/delete, no malloc
@@ -34,9 +34,9 @@
  *           O_CLOEXEC (mkstemp cannot, so it is always flagged toward
  *           mkostemp); socket/accept4 call sites carry SOCK_CLOEXEC
  *           and bare accept is always flagged toward accept4; and
- *           fork/exec* appear only in src/util/subprocess.cc -- child
- *           processes must not inherit journal, lock, cache, or
- *           listening-socket descriptors.
+ *           fork/exec* appear nowhere -- mcscope runs every batch
+ *           in-process, and a child would inherit cache and socket
+ *           descriptors.
  *   PARSE-1 strtol/strtoul/strtod family call sites check errno or the
  *           end pointer; silently accepting trailing garbage or
  *           overflow has bitten the CLI before.
@@ -95,15 +95,15 @@ constexpr RuleDoc kRuleCatalog[] = {
     {"DET-1", "no libc randomness or wall-clock seeds in "
               "src/sim, src/core, src/kernels"},
     {"DET-2", "no unordered_map/unordered_set iteration in "
-              "ordered-output units (journal, runner, scenario, "
-              "plan, json, coherence)"},
+              "ordered-output units (runner, scenario, plan, "
+              "json, coherence, registry)"},
     {"HOT-1", "no heap allocation between MCSCOPE_HOT_BEGIN/END "
               "markers"},
     {"HOT-2", "designated steady-state units must contain hot "
               "markers (src/sim/engine.cc, src/sim/calqueue.hh)"},
     {"FD-1", "open/openat/creat need O_CLOEXEC and socket/accept4 "
              "need SOCK_CLOEXEC; mkstemp and bare accept are "
-             "forbidden; fork/exec only in src/util/subprocess.cc"},
+             "forbidden; fork/exec are forbidden everywhere"},
     {"PARSE-1", "strto* call sites must check errno or the end "
                 "pointer"},
 };
@@ -120,8 +120,8 @@ const char *const kDet1Paths[] = {"src/sim/", "src/core/",
 
 /** Path fragments naming the ordered-output units for DET-2. */
 const char *const kDet2Paths[] = {
-    "src/core/journal",     "src/core/runner", "src/core/scenario",
-    "src/core/plan",        "src/util/json",
+    "src/core/runner", "src/core/scenario", "src/core/plan",
+    "src/util/json",
     // Probe/invalidation flows feed Work lists and hence audit
     // digests; their emission order must be deterministic.
     "src/machine/coherence",
@@ -182,12 +182,12 @@ const std::set<std::string> kFdOpenCalls = {"open", "openat", "creat",
 
 /**
  * Calls FD-1 requires SOCK_CLOEXEC on (any socket a future caller
- * opens must not leak into forked workers any more than the journal
+ * opens must not leak into a child process any more than a cache
  * descriptor may).
  */
 const std::set<std::string> kFdSocketCalls = {"socket", "accept4"};
 
-/** Process-spawning calls FD-1 confines to src/util/subprocess.cc. */
+/** Process-spawning calls FD-1 forbids outright. */
 const std::set<std::string> kFdSpawnCalls = {
     "fork",   "vfork",  "execv",       "execve",       "execvp",
     "execl",  "execlp", "execle",      "execvpe",      "posix_spawn",
@@ -821,8 +821,6 @@ void
 checkFd1(const std::string &path, const std::vector<Tok> &toks,
          std::vector<Finding> &out)
 {
-    const bool spawn_ok =
-        path.find("src/util/subprocess.cc") != std::string::npos;
     for (size_t i = 0; i < toks.size(); ++i) {
         const Tok &t = toks[i];
         if (!t.ident || !isCall(toks, i) || isMemberAccess(toks, i))
@@ -832,7 +830,7 @@ checkFd1(const std::string &path, const std::vector<Tok> &toks,
                 {path, t.line, "FD-1",
                  "mkstemp cannot set O_CLOEXEC; use "
                  "mkostemp(tmpl, O_CLOEXEC) so the descriptor does "
-                 "not leak into worker processes"});
+                 "not leak into child processes"});
             continue;
         }
         if (kFdOpenCalls.count(t.text) != 0) {
@@ -851,7 +849,7 @@ checkFd1(const std::string &path, const std::vector<Tok> &toks,
                     {path, t.line, "FD-1",
                      "'" + t.text +
                          "' without O_CLOEXEC leaks the descriptor "
-                         "into fork/exec'd workers"});
+                         "into child processes"});
             }
             continue;
         }
@@ -860,7 +858,7 @@ checkFd1(const std::string &path, const std::vector<Tok> &toks,
                 {path, t.line, "FD-1",
                  "accept cannot set SOCK_CLOEXEC atomically; use "
                  "accept4(fd, addr, len, SOCK_CLOEXEC) so the peer "
-                 "socket does not leak into worker processes"});
+                 "socket does not leak into child processes"});
             continue;
         }
         if (kFdSocketCalls.count(t.text) != 0) {
@@ -880,17 +878,17 @@ checkFd1(const std::string &path, const std::vector<Tok> &toks,
                     {path, t.line, "FD-1",
                      "'" + t.text +
                          "' without SOCK_CLOEXEC leaks the socket "
-                         "into fork/exec'd workers"});
+                         "into child processes"});
             }
             continue;
         }
-        if (kFdSpawnCalls.count(t.text) != 0 && !spawn_ok) {
+        if (kFdSpawnCalls.count(t.text) != 0) {
             out.push_back(
                 {path, t.line, "FD-1",
                  "'" + t.text +
-                     "' outside src/util/subprocess.cc; all process "
-                     "spawning goes through the Subprocess RAII "
-                     "wrapper"});
+                     "' spawns a process; mcscope runs batches "
+                     "in-process on --jobs threads, and a child would "
+                     "inherit open descriptors"});
         }
     }
 }
