@@ -270,6 +270,37 @@ BM_EngineManyComponents(benchmark::State &state)
 BENCHMARK(BM_EngineManyComponents)->Arg(4)->Arg(32)->Arg(256);
 
 void
+BM_EngineIdleResources(benchmark::State &state)
+{
+    // BM_EngineEventThroughput's 4 tasks on one shared resource, on a
+    // machine with n more resources that no flow touches (T3-4 has
+    // ~600 resources and at most 16 active flows).  Every re-solve's
+    // closure is the whole flow set, so per-event cost must track
+    // the closure, not the machine: /1024 should run at about /0's
+    // rate.
+    const int idle = static_cast<int>(state.range(0));
+    const uint64_t iters = 1000;
+    for (auto _ : state) {
+        Engine e;
+        ResourceId r = e.addResource("r", 1.0e9);
+        for (int i = 0; i < idle; ++i)
+            e.addResource("idle" + std::to_string(i), 1.0e9);
+        Work w;
+        w.amount = 1.0e6;
+        w.path = {r};
+        for (int t = 0; t < 4; ++t) {
+            e.addTask(std::make_unique<LoopTask>(
+                "t" + std::to_string(t), std::vector<Prim>{},
+                std::vector<Prim>{w}, iters));
+        }
+        e.run();
+        benchmark::DoNotOptimize(e.makespan());
+    }
+    state.SetItemsProcessed(state.iterations() * iters * 4);
+}
+BENCHMARK(BM_EngineIdleResources)->Arg(0)->Arg(1024);
+
+void
 BM_StreamExperiment(benchmark::State &state)
 {
     StreamWorkload stream(4u << 20, 10);

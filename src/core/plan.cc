@@ -280,9 +280,10 @@ SweepPlan::fromJson(const JsonValue &doc, std::string *error)
                 return std::nullopt;
             }
             for (const JsonValue &r : v.items()) {
-                if (!r.isNumber() || r.asNumber() < 1.0) {
-                    setError(error,
-                             "ranks entries must be positive numbers");
+                if (!r.isWholeNumber() || r.asNumber() < 1.0) {
+                    setError(error, "ranks entries must be positive "
+                                    "integers, got " +
+                                        r.dump());
                     return std::nullopt;
                 }
                 axes.rankCounts.push_back(
@@ -296,6 +297,12 @@ SweepPlan::fromJson(const JsonValue &doc, std::string *error)
             for (const JsonValue &o : v.items()) {
                 std::optional<NumactlOption> option;
                 if (o.isNumber()) {
+                    if (!o.isWholeNumber()) {
+                        setError(error, "options entries must be "
+                                        "integers, got " +
+                                            o.dump());
+                        return std::nullopt;
+                    }
                     option = resolveOptionSpec(
                         std::to_string(static_cast<int>(o.asNumber())));
                 } else if (o.isString()) {

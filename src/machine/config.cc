@@ -25,6 +25,11 @@ MachineConfig::check() const
         return bad("memory bandwidth must be positive");
     if (memLatency <= 0.0 || htHopLatency < 0.0)
         return bad("latencies must be positive");
+    if (l1Bytes <= 0.0 || l2Bytes <= 0.0)
+        return bad("cache sizes (l1_bytes, l2_bytes) must be positive");
+    // Zero would read as an uncapped STREAM rate (rateCap <= 0).
+    if (streamConcurrencyBytes <= 0.0)
+        return bad("stream_concurrency_bytes must be positive");
     if (nodes < 1)
         return bad("nodes must be >= 1");
     if (sockets % nodes != 0)

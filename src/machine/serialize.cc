@@ -1,7 +1,5 @@
 #include "machine/serialize.hh"
 
-#include <cmath>
-
 namespace mcscope {
 
 namespace {
@@ -157,16 +155,15 @@ parseMachineConfig(const JsonValue &doc, std::string *error)
                 setError(error, "machine." + key + " must be a number");
                 return false;
             }
-            double d = v.asNumber();
             // Truncating here would silently simulate a different
             // machine than the one the user wrote (and digest it).
-            if (d != std::floor(d) || d < -1.0e9 || d > 1.0e9) {
+            if (!v.isWholeNumber()) {
                 setError(error, "machine." + key +
                                     " must be an integer, got " +
-                                    JsonValue::number(d).dump());
+                                    v.dump());
                 return false;
             }
-            field = static_cast<int>(d);
+            field = static_cast<int>(v.asNumber());
             return true;
         };
         bool ok = true;
@@ -226,6 +223,14 @@ parseMachineConfig(const JsonValue &doc, std::string *error)
                     setError(error,
                              "machine.ht_links entries must be "
                              "[socket, socket] pairs");
+                    return std::nullopt;
+                }
+                if (!link.items()[0].isWholeNumber() ||
+                    !link.items()[1].isWholeNumber()) {
+                    setError(error,
+                             "machine.ht_links endpoints must be "
+                             "integers, got " +
+                                 link.dump());
                     return std::nullopt;
                 }
                 int a = static_cast<int>(link.items()[0].asNumber());

@@ -369,28 +369,17 @@ Engine::solveOptimized()
     for (FlowSlot s : closureFlows_)
         flowInClosure_[s] = 0;
 
-    // Incremental pays off while the closure is a minority of the
-    // population; past half, the subset bookkeeping costs more than
-    // the flows it skips, so solve globally.
-    const bool incremental =
-        2 * closureFlows_.size() <= static_cast<size_t>(activeFlows_);
-    if (incremental) {
-        // Slot order makes the subset's per-round residual-update
-        // sequence match a whole-set solve (see fairShareSolveSubset).
-        std::sort(closureFlows_.begin(), closureFlows_.end());
+    // Statistics only: a closure holding more than half the active
+    // flows counts as a wide ("full") solve, but is solved alone all
+    // the same.
+    if (2 * closureFlows_.size() <= static_cast<size_t>(activeFlows_))
         ++counters_.incrementalSolves;
-    } else {
-        closureRes_.clear();
-        closureFlows_.clear();
-        for (ResourceId r = 0; r < resourceCount(); ++r)
-            closureRes_.push_back(r);
-        for (size_t s = 0; s < slotCount(); ++s) {
-            if (flowAlive_[s])
-                closureFlows_.push_back(static_cast<FlowSlot>(s));
-        }
+    else
         ++counters_.fullSolves;
-    }
 
+    // Slot order makes the subset's per-round residual-update
+    // sequence match a whole-set solve (see fairShareSolveSubset).
+    std::sort(closureFlows_.begin(), closureFlows_.end());
     fairShareSolveSubset(capacities_, flowPath_, flowRateCap_,
                          closureFlows_.data(), closureFlows_.size(),
                          closureRes_.data(), closureRes_.size(),
@@ -398,17 +387,15 @@ Engine::solveOptimized()
     applyRates(closureFlows_.data(), closureFlows_.size(),
                fsScratch_.rates.data());
 
-    if (incremental) {
-        // Empty-path capped arrivals touch no resource, so no closure
-        // reaches them; their max-min rate is simply their cap.
-        for (FlowSlot s : newFlows_) {
-            if (!flowAlive_[s] || !flowPath_[s].empty() ||
-                flowRate_[s] != 0.0) {
-                continue;
-            }
-            const double cap = flowRateCap_[s];
-            applyRates(&s, 1, &cap);
+    // Empty-path capped arrivals touch no resource, so no closure
+    // reaches them; their max-min rate is simply their cap.
+    for (FlowSlot s : newFlows_) {
+        if (!flowAlive_[s] || !flowPath_[s].empty() ||
+            flowRate_[s] != 0.0) {
+            continue;
         }
+        const double cap = flowRateCap_[s];
+        applyRates(&s, 1, &cap);
     }
 }
 

@@ -163,9 +163,8 @@ class Engine
     /**
      * Run-level engine counters, cheap enough to maintain
      * unconditionally.  They answer "what did the engine actually do"
-     * questions (was the allocator rerun per event? did the dirty-set
-     * solver stay incremental or keep falling back to global solves?)
-     * without a profiler.
+     * questions (was the allocator rerun per event? how wide did the
+     * dirty-set closures grow?) without a profiler.
      */
     struct Stats
     {
@@ -185,16 +184,18 @@ class Engine
         uint64_t timeSteps = 0;
 
         /**
-         * Allocator reruns solved incrementally: only the dirty-set
-         * closure (the connected component of flows reachable from
-         * resources whose flow set changed) was re-solved.
+         * Optimized allocator reruns whose dirty-set closure (the
+         * flows reachable from resources whose flow set changed) held
+         * at most half the active flows.
          */
         uint64_t incrementalSolves = 0;
 
         /**
-         * Allocator reruns that solved the whole flow set -- the
-         * closure exceeded the incremental threshold, or the Reference
-         * oracle allocator was active (it always solves globally).
+         * Allocator reruns with a wide closure -- more than half the
+         * active flows -- or under the Reference oracle allocator,
+         * which always solves the whole flow set.  The Optimized
+         * allocator still solves only the closure; the split is a
+         * statistic, not a dispatch.
          */
         uint64_t fullSolves = 0;
 

@@ -70,6 +70,13 @@ JsonValue::asNumber() const
     return num_;
 }
 
+bool
+JsonValue::isWholeNumber() const
+{
+    return kind_ == Kind::Number && num_ == std::floor(num_) &&
+           num_ >= -1.0e9 && num_ <= 1.0e9;
+}
+
 const std::string &
 JsonValue::asString() const
 {

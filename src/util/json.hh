@@ -58,6 +58,12 @@ class JsonValue
     double asNumber() const;
     const std::string &asString() const;
 
+    /**
+     * True for a number holding a whole value in [-1e9, 1e9], so
+     * that asNumber() casts to int exactly.
+     */
+    bool isWholeNumber() const;
+
     /** Array elements (panics unless isArray). */
     const std::vector<JsonValue> &items() const;
     void append(JsonValue v);

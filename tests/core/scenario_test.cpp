@@ -355,6 +355,26 @@ TEST(SweepPlan, FromJsonRejectsUnknownKeysAndWorkloads)
     EXPECT_NE(error.find("stream"), std::string::npos) << error;
 }
 
+TEST(SweepPlan, FromJsonRejectsFractionalRanksAndOptions)
+{
+    // A fraction must not truncate into a different grid point
+    // (2.5 ranks running as 2, option 1.7 running as option 1), and a
+    // huge value must not reach the double -> int cast.
+    for (const char *text :
+         {R"({"workloads": ["stream"], "ranks": [2.5]})",
+          R"({"workloads": ["stream"], "ranks": [1e30]})",
+          R"({"workloads": ["stream"], "options": [1.7]})",
+          R"({"workloads": ["stream"], "options": [1e30]})"}) {
+        std::string error;
+        EXPECT_FALSE(SweepPlan::fromJson(*parseJson(text), &error)
+                         .has_value())
+            << text;
+        EXPECT_NE(error.find("integer"), std::string::npos)
+            << text << ": " << error;
+        EXPECT_EQ(error.find('\n'), std::string::npos) << error;
+    }
+}
+
 TEST(ResultCache, EntryJsonRoundTrips)
 {
     RunResult r;

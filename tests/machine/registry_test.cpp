@@ -284,6 +284,40 @@ TEST(MachineSerialize, RejectsBadLinks)
         R"("fabric_bandwidth":1e9,"ht_links":[[0,2]]})",
         &error));
     EXPECT_NE(error.find("node-local"), std::string::npos) << error;
+    // Endpoints are socket indices: a fraction must not truncate into
+    // a valid link, and an out-of-int-range value must not reach the
+    // double -> int cast.
+    EXPECT_FALSE(parseText(
+        R"({"name":"x","sockets":2,"cores_per_socket":1,)"
+        R"("ht_links":[[0,1.5]]})",
+        &error));
+    EXPECT_NE(error.find("integer"), std::string::npos) << error;
+    EXPECT_FALSE(parseText(
+        R"({"name":"x","sockets":2,"cores_per_socket":1,)"
+        R"("ht_links":[[0,1e30]]})",
+        &error));
+    EXPECT_NE(error.find("integer"), std::string::npos) << error;
+}
+
+TEST(MachineSerialize, RejectsNonPositiveCacheAndConcurrencySizes)
+{
+    // Zero or negative cache sizes trip kernel assertions much later;
+    // a zero stream concurrency silently uncaps STREAM.  All of them
+    // must fail at load time with a one-line error instead.
+    for (const char *field :
+         {"l1_bytes", "l2_bytes", "stream_concurrency_bytes"}) {
+        for (const char *value : {"0", "-5", "-400"}) {
+            const std::string text =
+                R"({"name":"x","sockets":2,"cores_per_socket":1,)"
+                R"("ht_links":[[0,1]],")" +
+                std::string(field) + "\":" + value + "}";
+            std::string error;
+            EXPECT_FALSE(parseText(text, &error)) << text;
+            EXPECT_NE(error.find("must be positive"), std::string::npos)
+                << error;
+            EXPECT_EQ(error.find('\n'), std::string::npos) << error;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

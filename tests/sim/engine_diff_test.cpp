@@ -10,7 +10,8 @@
  * identical audit digests, identical makespans to the last mantissa
  * bit, identical per-task finish times, identical event counts.  This
  * drives ~1k randomized scenarios (random paths and caps, empty-path
- * capped flows, delays, barriers, rendezvous pairs) through both.
+ * capped flows, idle resources no flow touches, delays, barriers,
+ * rendezvous pairs) through both.
  *
  * A second suite pins the subset solver itself: on a closed connected
  * component, fairShareSolveSubset must reproduce the rates of a full
@@ -51,8 +52,9 @@ struct Scenario
     std::vector<std::vector<Prim>> scripts;
 };
 
+/** A random flow over resources [base, base + nr). */
 Work
-randomWork(Rng &rng, int nr)
+randomWork(Rng &rng, ResourceId base, int nr)
 {
     Work w;
     w.amount = rng.uniform(0.5, 2000.0);
@@ -68,7 +70,7 @@ randomWork(Rng &rng, int nr)
     }
     const int plen = 1 + static_cast<int>(rng.below(4));
     for (int k = 0; k < plen; ++k) {
-        auto r = static_cast<ResourceId>(rng.below(nr));
+        auto r = base + static_cast<ResourceId>(rng.below(nr));
         bool dup = false;
         for (ResourceId e : w.path)
             dup = dup || e == r;
@@ -86,8 +88,15 @@ randomScenario(Rng &rng)
     Scenario s;
     const int nr = 1 + static_cast<int>(rng.below(6));
     const int nt = 1 + static_cast<int>(rng.below(8));
-    for (int r = 0; r < nr; ++r)
+    // One scenario in three brackets the busy resources with idle
+    // ones that no flow touches, so wide closures are solved on a
+    // machine larger than the closure.
+    const bool idle = rng.below(3) == 0;
+    const int before = idle ? static_cast<int>(rng.below(8)) : 0;
+    const int after = idle ? 1 + static_cast<int>(rng.below(64)) : 0;
+    for (int r = 0; r < before + nr + after; ++r)
         s.caps.push_back(rng.uniform(0.5, 2000.0));
+    const auto base = static_cast<ResourceId>(before);
     s.scripts.resize(nt);
 
     // Tasks run `nseg` segments of private work separated by global
@@ -104,7 +113,8 @@ randomScenario(Rng &rng)
                     d.tag = static_cast<int>(rng.below(4));
                     s.scripts[t].push_back(d);
                 } else {
-                    s.scripts[t].push_back(randomWork(rng, nr));
+                    s.scripts[t].push_back(
+                        randomWork(rng, base, nr));
                 }
             }
             if (nt > 1) {
@@ -119,7 +129,7 @@ randomScenario(Rng &rng)
         for (int t = 0; t + 1 < nt; t += 2) {
             Rendezvous rv;
             rv.key = 800000 + static_cast<uint64_t>(seg) * 1000 + t;
-            rv.transfer = randomWork(rng, nr);
+            rv.transfer = randomWork(rng, base, nr);
             Rendezvous peer = rv;
             rv.carrier = true;
             s.scripts[t].push_back(rv);
@@ -136,6 +146,7 @@ struct RunOutcome
     uint64_t events = 0;
     uint64_t makespanBits = 0;
     std::vector<uint64_t> finishBits;
+    Engine::Stats stats;
 };
 
 RunOutcome
@@ -162,12 +173,14 @@ runScenario(const Scenario &s, Engine::AllocatorKind kind)
     out.makespanBits = bits(e.makespan());
     for (int t = 0; t < e.taskCount(); ++t)
         out.finishBits.push_back(bits(e.taskFinishTime(t)));
+    out.stats = e.stats();
     return out;
 }
 
 TEST(EngineDiff, OptimizedIsBitIdenticalToReferenceOnRandomScenarios)
 {
     Rng rng(0x071f00dbeefULL);
+    uint64_t wideSolves = 0;
     for (int iter = 0; iter < 1000; ++iter) {
         Scenario s = randomScenario(rng);
         RunOutcome opt =
@@ -181,7 +194,11 @@ TEST(EngineDiff, OptimizedIsBitIdenticalToReferenceOnRandomScenarios)
             << "iteration " << iter;
         ASSERT_EQ(opt.finishBits, ref.finishBits)
             << "iteration " << iter;
+        wideSolves += opt.stats.fullSolves;
     }
+    // Closures holding more than half the active flows must occur, or
+    // the corpus never checks a wide closure against the oracle.
+    EXPECT_GT(wideSolves, 0u);
 }
 
 TEST(EngineDiff, OptimizedRunsAreDeterministicAcrossRepeats)
@@ -200,8 +217,8 @@ TEST(EngineDiff, OptimizedEngineActuallySolvesIncrementally)
 {
     // Many tasks on disjoint private resources: after warmup, every
     // re-solve's dirty closure is a single flow, so the incremental
-    // counter must dominate.  Guards against the dispatch silently
-    // always taking the full-solve fallback (which would pass every
+    // counter must dominate.  Guards against the closure walk
+    // silently growing to the whole flow set (which would pass every
     // bit-identity test while losing the entire speedup).
     Engine e;
     e.setAllocator(Engine::AllocatorKind::Optimized);

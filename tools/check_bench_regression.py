@@ -26,9 +26,11 @@ Two stricter checks ride on top:
   (to its value, when larger) so cross-machine CI stays meaningful.
 
 * Within the current report alone, the traced and timeline-sampling
-  variants are compared against the untraced run.  These compare two
-  numbers from the same binary on the same machine, so they hold
-  everywhere; the caps just keep the enabled-cost from exploding.
+  variants are compared against the untraced run, and the engine run
+  with 1024 idle resources against the same run with none.  These
+  compare two numbers from the same binary on the same machine, so
+  they hold everywhere; the caps keep the enabled cost from exploding
+  and per-event cost tied to the dirty closure, not the machine size.
 """
 
 import argparse
@@ -51,12 +53,14 @@ HOT_PATH_BENCHES = {
 
 # (variant, reference, allowed fractional slowdown) triples checked
 # within the current report.  The variant runs the same simulated
-# workload as the reference with one observability feature enabled.
+# workload as the reference with one thing added: an observability
+# feature enabled, or resources that no flow touches.
 OVERHEAD_PAIRS = [
     ("BM_EngineEventThroughputTraced/1000",
      "BM_EngineEventThroughput/1000", 0.50),
     ("BM_EngineEventThroughputTimeline/1000",
      "BM_EngineEventThroughput/1000", 0.35),
+    ("BM_EngineIdleResources/1024", "BM_EngineIdleResources/0", 1.00),
 ]
 
 
@@ -131,7 +135,7 @@ def load_benchmarks(path, role):
 
 
 def check_overhead_pairs(current, failures):
-    """Within-report checks: enabled-observability cost stays bounded."""
+    """Within-report checks: each variant's added cost stays bounded."""
     compared = 0
     for variant, reference, cap in OVERHEAD_PAIRS:
         var = current.get(variant)

@@ -165,6 +165,28 @@ class CheckBenchRegressionTest(unittest.TestCase):
         proc = self.run_check(cur, base)
         self.assertEqual(proc.returncode, 0, proc.stderr)
 
+    def idle_resources_report(self, idle0_ips, idle1024_ips):
+        return {"benchmarks": [
+            {"name": "BM_EngineIdleResources/0", "run_type": "iteration",
+             "items_per_second": idle0_ips},
+            {"name": "BM_EngineIdleResources/1024",
+             "run_type": "iteration", "items_per_second": idle1024_ips},
+        ]}
+
+    def test_idle_resources_pair_gates_within_the_report(self):
+        # The pair is absent from the baseline: only the within-report
+        # ratio judges it, at most 2x slower per item.
+        base = self.write_json("base.json", {"benchmarks": []})
+        ok = self.write_json("ok.json",
+                             self.idle_resources_report(100.0, 60.0))
+        proc = self.run_check(ok, base)
+        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+        slow = self.write_json("slow.json",
+                               self.idle_resources_report(100.0, 40.0))
+        proc = self.run_check(slow, base)
+        self.assertEqual(proc.returncode, 1, proc.stdout)
+        self.assertIn("BM_EngineIdleResources/1024", proc.stderr)
+
     def test_empty_overlap_is_an_error(self):
         cur = self.write_json("cur.json", {"benchmarks": []})
         base = self.write_json("base.json", {"benchmarks": []})
