@@ -15,10 +15,8 @@
 #include "kernels/nas_cg.hh"
 #include "kernels/stream.hh"
 #include "machine/config.hh"
-#include "sim/calqueue.hh"
 #include "sim/fairshare.hh"
 #include "sim/task.hh"
-#include "util/rng.hh"
 
 namespace mcscope {
 namespace {
@@ -39,39 +37,11 @@ syntheticFlows(int nf)
 }
 
 void
-BM_FairShare(benchmark::State &state)
-{
-    const int nf = static_cast<int>(state.range(0));
-    std::vector<double> caps(16, 1.0e9);
-    std::vector<FairShareFlow> flows = syntheticFlows(nf);
-    for (auto _ : state) {
-        auto rates = fairShareRates(caps, flows);
-        benchmark::DoNotOptimize(rates);
-    }
-}
-BENCHMARK(BM_FairShare)->Arg(4)->Arg(16)->Arg(64);
-
-void
-BM_FairShareScratch(benchmark::State &state)
-{
-    // The engine's actual hot path: one workspace reused across every
-    // allocator rerun, so steady-state calls are allocation-free.
-    const int nf = static_cast<int>(state.range(0));
-    std::vector<double> caps(16, 1.0e9);
-    std::vector<FairShareFlow> flows = syntheticFlows(nf);
-    FairShareScratch scratch;
-    for (auto _ : state) {
-        fairShareRatesInto(caps, flows, scratch);
-        benchmark::DoNotOptimize(scratch.rates.data());
-    }
-}
-BENCHMARK(BM_FairShareScratch)->Arg(4)->Arg(16)->Arg(64);
-
-void
 BM_FairShareReference(benchmark::State &state)
 {
-    // The retained allocation-per-call oracle, benchmarked so the
-    // scratch win stays visible in BENCH_engine.json.
+    // The retained allocation-per-call oracle, benchmarked so its
+    // cost next to BM_FairShareSubsetSolve stays visible in
+    // BENCH_engine.json.
     const int nf = static_cast<int>(state.range(0));
     std::vector<double> caps(16, 1.0e9);
     std::vector<FairShareFlow> flows = syntheticFlows(nf);
@@ -177,36 +147,6 @@ BM_EngineEventThroughputTimeline(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * iters * 4);
 }
 BENCHMARK(BM_EngineEventThroughputTimeline)->Arg(1000);
-
-void
-BM_CalQueueChurn(benchmark::State &state)
-{
-    // Steady-state calendar-queue load: keep nf finish times live,
-    // repeatedly pop the earliest and re-insert it a deterministic
-    // pseudo-random span later (exactly what a completing flow whose
-    // rate changes does).  Per-op cost should stay flat as nf grows;
-    // a binary heap would drift up as log(nf).
-    const int nf = static_cast<int>(state.range(0));
-    CalendarQueue q;
-    q.reserveSlots(nf);
-    Rng rng(0x5eedULL);
-    double now = 0.0;
-    for (int s = 0; s < nf; ++s)
-        q.insert(s, now + rng.uniform(0.5, 1.5));
-    for (auto _ : state) {
-        // minTime() never returns infinity here: the queue stays at
-        // nf live entries throughout.
-        benchmark::DoNotOptimize(q.minTime());
-        // Rate change on a random survivor: remove + re-insert later.
-        // `now` advances ~1/nf per op so each slot turns over about
-        // once per nf ops and the live density stays constant.
-        now += 1.0 / nf;
-        const int moved = static_cast<int>(rng.below(nf));
-        q.update(moved, now + rng.uniform(0.5, 1.5));
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CalQueueChurn)->Arg(64)->Arg(1024)->Arg(16384);
 
 void
 BM_FairShareSubsetSolve(benchmark::State &state)

@@ -136,9 +136,7 @@ bottleneckReport(const DetailedResult &result)
     oss << "engine: " << es.allocatorReruns << " allocator reruns ("
         << es.incrementalSolves << " incremental, " << es.fullSolves
         << " full), " << es.timeSteps << " time steps, "
-        << es.fallbackScans << " fallback scans, "
-        << es.calqueueOps << " calqueue ops ("
-        << es.calqueueResizes << " resizes), peak "
+        << es.fallbackScans << " fallback scans, peak "
         << es.peakActiveFlows << " active flows\n";
 
     auto bucketLine = [&oss](const char *label,

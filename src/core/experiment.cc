@@ -63,8 +63,6 @@ runExperimentOn(Machine &machine, const ExperimentConfig &config,
     const Engine::Stats stats = engine.stats();
     res.incrementalSolves = stats.incrementalSolves;
     res.fullSolves = stats.fullSolves;
-    res.calqueueOps = stats.calqueueOps;
-    res.calqueueResizes = stats.calqueueResizes;
     if (const Auditor *auditor = engine.auditor()) {
         res.audited = true;
         res.auditDigest = auditor->digest();

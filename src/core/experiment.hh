@@ -72,10 +72,17 @@ struct RunResult
     /** Allocator reruns that re-solved the whole flow set. */
     uint64_t fullSolves = 0;
 
-    /** Calendar-queue operations (inserts + removes). */
+    /**
+     * Always 0, like Engine::Stats::calqueueOps: the calendar queue is
+     * gone, and the field stays only because perfbench/harness.cc
+     * reads it.
+     */
     uint64_t calqueueOps = 0;
 
-    /** Calendar-queue bucket resizes / width retunes. */
+    /**
+     * Always 0, like Engine::Stats::calqueueResizes; kept only because
+     * perfbench/harness.cc reads it.
+     */
     uint64_t calqueueResizes = 0;
 
     /** True when the run executed under an invariant auditor. */

@@ -103,11 +103,6 @@ runResultToJson(uint64_t digest, const RunResult &result)
               static_cast<double>(result.incrementalSolves)));
     o.set("full_solves",
           JsonValue::number(static_cast<double>(result.fullSolves)));
-    o.set("calqueue_ops",
-          JsonValue::number(static_cast<double>(result.calqueueOps)));
-    o.set("calqueue_resizes",
-          JsonValue::number(
-              static_cast<double>(result.calqueueResizes)));
     o.set("audited", JsonValue::boolean(result.audited));
     if (result.audited) {
         o.set("audit_digest",
@@ -174,7 +169,9 @@ parseRunResult(const JsonValue &doc, uint64_t expect_digest)
     r.events = *ev;
 
     // Engine-counter fields arrived after the cache entry format
-    // shipped; absent fields (old entries) default to zero.
+    // shipped; absent fields (old entries) default to zero.  Keys
+    // this reader does not know, such as the calqueue_ops and
+    // calqueue_resizes that older writers stored, are ignored.
     auto optionalCounter = [&doc](const char *key,
                                   uint64_t &out) -> bool {
         const JsonValue *v = doc.find(key);
@@ -187,9 +184,7 @@ parseRunResult(const JsonValue &doc, uint64_t expect_digest)
         return true;
     };
     if (!optionalCounter("incremental_solves", r.incrementalSolves) ||
-        !optionalCounter("full_solves", r.fullSolves) ||
-        !optionalCounter("calqueue_ops", r.calqueueOps) ||
-        !optionalCounter("calqueue_resizes", r.calqueueResizes))
+        !optionalCounter("full_solves", r.fullSolves))
         return std::nullopt;
 
     if (const JsonValue *audited = doc.find("audited")) {
@@ -449,8 +444,6 @@ runPlan(const SweepPlan &plan, const RunnerOptions &opts)
             sample.events = r.events;
             sample.incrementalSolves = r.incrementalSolves;
             sample.fullSolves = r.fullSolves;
-            sample.calqueueOps = r.calqueueOps;
-            sample.calqueueResizes = r.calqueueResizes;
         }
     }
     return out;

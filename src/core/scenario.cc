@@ -436,6 +436,11 @@ parseScenarioSpec(const JsonValue &doc, std::string *error)
             }
         } else if (key == "option") {
             if (v.isNumber()) {
+                if (!v.isWholeNumber()) {
+                    setError(error, "option index must be an integer, got " +
+                                        v.dump());
+                    return std::nullopt;
+                }
                 auto options = table5Options();
                 int idx = static_cast<int>(v.asNumber());
                 if (idx < 0 ||
@@ -463,8 +468,9 @@ parseScenarioSpec(const JsonValue &doc, std::string *error)
                 s.option = *o;
             }
         } else if (key == "ranks") {
-            if (!v.isNumber() || v.asNumber() < 1.0) {
-                setError(error, "ranks must be a positive number");
+            if (!v.isWholeNumber() || v.asNumber() < 1.0) {
+                setError(error, "ranks must be a positive integer, got " +
+                                    v.dump());
                 return std::nullopt;
             }
             s.ranks = static_cast<int>(v.asNumber());

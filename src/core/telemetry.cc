@@ -90,9 +90,7 @@ SweepTelemetry::writeJson(std::ostream &os) const
            << ", \"sim_seconds\": " << jsonNum(p.simSeconds)
            << ", \"events\": " << p.events
            << ", \"incremental_solves\": " << p.incrementalSolves
-           << ", \"full_solves\": " << p.fullSolves
-           << ", \"calqueue_ops\": " << p.calqueueOps
-           << ", \"calqueue_resizes\": " << p.calqueueResizes << "}"
+           << ", \"full_solves\": " << p.fullSolves << "}"
            << (i + 1 < points.size() ? "," : "") << "\n";
     }
     os << "  ]\n}\n";

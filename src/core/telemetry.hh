@@ -48,12 +48,6 @@ struct GridPointSample
 
     /** Allocator reruns that re-solved the whole flow set. */
     uint64_t fullSolves = 0;
-
-    /** Calendar-queue operations (inserts + removes). */
-    uint64_t calqueueOps = 0;
-
-    /** Calendar-queue bucket resizes / width retunes. */
-    uint64_t calqueueResizes = 0;
 };
 
 /** Telemetry for one whole sweep. */

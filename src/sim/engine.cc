@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 
 #include "sim/alloc_guard.hh"
@@ -16,30 +15,10 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 } // namespace
 
-namespace {
-
-/** True when MCSCOPE_REFERENCE_ALLOCATOR requests the oracle path. */
-bool
-referenceAllocatorRequestedByEnv()
-{
-    const char *v = std::getenv("MCSCOPE_REFERENCE_ALLOCATOR");
-    return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
-}
-
-} // namespace
-
 Engine::Engine()
 {
     if (auditRequestedByEnv())
         auditor_ = std::make_unique<Auditor>();
-    if (referenceAllocatorRequestedByEnv()) {
-        allocator_ = AllocatorKind::Reference;
-        // The oracle reallocates per rerun by design; an env-forced
-        // A/B session must not trip the Debug zero-allocation guard.
-        // Explicit setAllocator(Reference) keeps enforcement on so
-        // tests can prove the guard fires.
-        allocGuardEnforced_ = false;
-    }
 }
 
 Engine::~Engine() = default;
@@ -223,7 +202,6 @@ Engine::startFlow(const Work &w, OwnerVec owners, PhaseTag tag)
         flowAlive_.push_back(0);
         flowPosInRes_.emplace_back();
         flowInClosure_.push_back(0);
-        calq_.reserveSlots(slot + 1);
     }
 
     flowRemaining_[slot] = w.amount;
@@ -297,8 +275,6 @@ Engine::removeFlow(FlowSlot slot)
     flowPath_[slot].clear();
     flowOwners_[slot].clear();
     flowPosInRes_[slot].clear();
-    if (calq_.contains(slot))
-        calq_.remove(slot);
     // MCSCOPE_LINT_ALLOW(HOT-1): amortized capacity reuse.
     freeSlots_.push_back(slot);
     --activeFlows_;
@@ -321,12 +297,7 @@ Engine::applyRates(const FlowSlot *slots, size_t count,
         // which is what keeps their event sequences -- and hence the
         // determinism digests -- bit-identical.
         flowRate_[s] = rate;
-        const double finish = now_ + flowRemaining_[s] / rate;
-        flowFinish_[s] = finish;
-        if (calq_.contains(s))
-            calq_.update(s, finish);
-        else
-            calq_.insert(s, finish);
+        flowFinish_[s] = now_ + flowRemaining_[s] / rate;
     }
 }
 
@@ -578,7 +549,7 @@ Engine::allocGuardCapacitySum(const std::vector<int> &to_advance) const
            freeSlots_.capacity() + newFlows_.capacity() +
            dirtyRes_.capacity() + closureRes_.capacity() +
            closureFlows_.capacity() + completedScratch_.capacity() +
-           delayHeap_.capacity() + incidence + calq_.capacitySum();
+           delayHeap_.capacity() + incidence;
 }
 
 void
@@ -634,17 +605,23 @@ Engine::run()
         if (ratesDirty_)
             recomputeRates();
 
-        // Earliest flow completion, from the calendar queue of
-        // absolute finish times.  Absolute finish times are invariant
-        // while rates are unchanged (each flow drains at a constant
-        // rate), so entries are only re-keyed on rate changes.
+        // Earliest flow completion: a flat min over the stored
+        // absolute finish times.  They are invariant while rates are
+        // unchanged (each flow drains at a constant rate), so
+        // applyRates() re-anchors them only on rate changes; dead
+        // slots hold +inf and need no alive test.
         double dt_flow = kInf;
         if (activeFlows_ > 0) {
-            dt_flow = calq_.minTime() - now_;
+            const size_t n = slotCount();
+            const double *finish = flowFinish_.data();
+            double earliest = kInf;
+            for (size_t s = 0; s < n; ++s)
+                earliest = std::min(earliest, finish[s]);
+            dt_flow = earliest - now_;
             if (dt_flow <= 0.0) {
                 // now_ accumulates dt with different round-off than
                 // remaining accumulates rate*dt, so now_ can reach the
-                // queued finish time while the nearest flow still
+                // stored finish time while the nearest flow still
                 // carries an epsilon of work above the completion
                 // tolerance.  Fall back to the direct scan, whose
                 // remaining/rate is strictly positive, so time always

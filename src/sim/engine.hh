@@ -16,11 +16,12 @@
  * cycle-accurate modeling.
  *
  * Steady-state complexity (DESIGN §13): flow state is a structure of
- * arrays over stable slots, the next flow finish comes from a calendar
- * queue, and a flow arrival/departure re-solves only the connected
- * component of flows reachable from the resources it touched (the
- * dirty-set closure) -- so per-event cost is proportional to the
- * affected component, not the whole flow population.
+ * arrays over stable slots, the next flow finish is a flat min over
+ * the stored finish times, and a flow arrival/departure re-solves
+ * only the connected component of flows reachable from the resources
+ * it touched (the dirty-set closure) -- so per-event cost is
+ * proportional to the affected component, not the whole flow
+ * population.
  */
 
 #ifndef MCSCOPE_SIM_ENGINE_HH
@@ -35,7 +36,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/calqueue.hh"
 #include "sim/fairshare.hh"
 #include "sim/prim.hh"
 #include "sim/task.hh"
@@ -199,10 +199,18 @@ class Engine
          */
         uint64_t fullSolves = 0;
 
-        /** Calendar-queue operations (inserts + removes). */
+        /**
+         * Always 0.  It counted calendar-queue operations; the queue
+         * is gone (the next flow finish is a flat min over the stored
+         * finish times), and the field stays only because
+         * perfbench/harness.cc reads it.
+         */
         uint64_t calqueueOps = 0;
 
-        /** Calendar-queue bucket resizes / width retunes. */
+        /**
+         * Always 0.  It counted calendar-queue resizes; the field
+         * stays only because perfbench/harness.cc reads it.
+         */
         uint64_t calqueueResizes = 0;
 
         /** Peak size of the active-flow set. */
@@ -214,8 +222,6 @@ class Engine
     {
         Stats s = counters_;
         s.events = events_;
-        s.calqueueOps = calq_.stats().ops;
-        s.calqueueResizes = calq_.stats().resizes;
         return s;
     }
 
@@ -280,8 +286,8 @@ class Engine
      * structure-of-arrays flow state; Reference re-solves the whole
      * flow set through the retained original allocator, kept as a
      * differential-testing oracle (identical rates, identical audit
-     * digests).  The MCSCOPE_REFERENCE_ALLOCATOR environment variable
-     * selects Reference for every engine, for whole-binary A/B runs.
+     * digests).  MCSCOPE_AUDIT=1 cross-checks every Optimized
+     * allocation against a Reference solve, bit for bit.
      */
     enum class AllocatorKind
     {
@@ -398,10 +404,10 @@ class Engine
 
     /**
      * Adopt freshly solved rates for `slots[0..count)`; rates[k]
-     * belongs to slots[k].  A flow's absolute finish time (and its
-     * calendar-queue entry) is updated only when its assigned rate
-     * actually changes -- the policy that keeps Optimized and
-     * Reference time sequences bit-identical (DESIGN §13).
+     * belongs to slots[k].  A flow's absolute finish time is updated
+     * only when its assigned rate actually changes -- the policy that
+     * keeps Optimized and Reference time sequences bit-identical
+     * (DESIGN §13).
      */
     void applyRates(const FlowSlot *slots, size_t count,
                     const double *rates);
@@ -432,7 +438,7 @@ class Engine
     /**
      * Sum of the capacities of every buffer the steady-state loop may
      * legitimately grow (hot-path scratch, the ready/advance queues,
-     * the calendar queue, and the timeline).  Capacities are monotone,
+     * the flow arrays, and the timeline).  Capacities are monotone,
      * so the sum grows iff some buffer grew; the alloc-guard check in
      * run() excuses an iteration's allocations only when it did.
      */
@@ -454,7 +460,7 @@ class Engine
     // scans: rate 0, remaining +inf, threshold -1, empty path.
     std::vector<double> flowRemaining_; ///< units left to move
     std::vector<double> flowRate_;      ///< current fair-share rate
-    std::vector<double> flowFinish_;    ///< absolute finish estimate
+    std::vector<double> flowFinish_;    ///< absolute finish (+inf if dead)
     std::vector<double> flowThresh_;    ///< completion tolerance
     std::vector<double> flowAmount_;    ///< original Work amount
     std::vector<double> flowRateCap_;   ///< per-flow rate ceiling
@@ -486,9 +492,6 @@ class Engine
     std::vector<char> flowInClosure_;
     std::vector<ResourceId> closureRes_;
     std::vector<FlowSlot> closureFlows_;
-
-    /** Calendar queue of absolute flow-finish times, keyed by slot. */
-    CalendarQueue calq_;
 
     /** Slots whose remaining work crossed the completion tolerance. */
     std::vector<FlowSlot> completedScratch_;

@@ -213,43 +213,6 @@ fairShareSolveSubset(const std::vector<double> &capacities,
     }
 }
 
-void
-fairShareRatesInto(const std::vector<double> &capacities,
-                   const std::vector<FairShareFlow> &flows,
-                   FairShareScratch &scratch)
-{
-    const size_t nr = capacities.size();
-    const size_t nf = flows.size();
-
-    // Adapt the struct-of-flows form onto the slot-indexed subset
-    // solver: identity slot list, all resources.  One code path keeps
-    // every entry point's arithmetic -- and hence its bits --
-    // identical.
-    scratch.specPaths.resize(nf);
-    scratch.specCaps.resize(nf);
-    scratch.specSlots.resize(nf);
-    for (size_t f = 0; f < nf; ++f) {
-        scratch.specPaths[f] = flows[f].path;
-        scratch.specCaps[f] = flows[f].rateCap;
-        scratch.specSlots[f] = static_cast<int>(f);
-    }
-    scratch.allRes.resize(nr);
-    for (size_t r = 0; r < nr; ++r)
-        scratch.allRes[r] = static_cast<ResourceId>(r);
-    fairShareSolveSubset(capacities, scratch.specPaths, scratch.specCaps,
-                         scratch.specSlots.data(), nf,
-                         scratch.allRes.data(), nr, scratch);
-}
-
-std::vector<double>
-fairShareRates(const std::vector<double> &capacities,
-               const std::vector<FairShareFlow> &flows)
-{
-    FairShareScratch scratch;
-    fairShareRatesInto(capacities, flows, scratch);
-    return std::move(scratch.rates);
-}
-
 std::vector<double>
 fairShareRatesReference(const std::vector<double> &capacities,
                         const std::vector<FairShareFlow> &flows)

@@ -46,7 +46,7 @@ struct FairShareFlow
  */
 struct FairShareScratch
 {
-    /** Output: one rate per flow, valid after fairShareRatesInto. */
+    /** Output: one rate per flow, valid after fairShareSolveSubset. */
     std::vector<double> rates;
 
     // Internal working arrays (exposed so the workspace is a plain
@@ -64,13 +64,6 @@ struct FairShareScratch
     std::vector<int> compFlows;
     std::vector<ResourceId> compRes;
 
-    // Adapter arrays used by fairShareRatesInto to present a
-    // struct-of-flows input to the slot-indexed subset solver.
-    std::vector<PathVec> specPaths;
-    std::vector<double> specCaps;
-    std::vector<int> specSlots;
-    std::vector<ResourceId> allRes;
-
     /**
      * Summed buffer capacities over every member, for the engine's
      * alloc-guard capacity signature (sim/alloc_guard.hh): growth of
@@ -80,48 +73,18 @@ struct FairShareScratch
     size_t
     capacitySum() const
     {
-        size_t sum = rates.capacity() + frozen.capacity() +
-                     residual.capacity() + users.capacity() +
-                     saturated.capacity() + parent.capacity() +
-                     flowRoot.capacity() + compFlows.capacity() +
-                     compRes.capacity() + specPaths.capacity() +
-                     specCaps.capacity() + specSlots.capacity() +
-                     allRes.capacity();
-        for (const PathVec &p : specPaths)
-            sum += p.capacity();
-        return sum;
+        return rates.capacity() + frozen.capacity() +
+               residual.capacity() + users.capacity() +
+               saturated.capacity() + parent.capacity() +
+               flowRoot.capacity() + compFlows.capacity() +
+               compRes.capacity();
     }
 };
 
 /**
- * Compute max-min fair rates into a reusable workspace.
- *
- * Identical results to fairShareRatesReference(); this variant only
- * avoids the per-call allocations.  The rates land in scratch.rates.
- *
- * @param capacities  capacity of each resource, units/s (> 0).
- * @param flows       flow descriptions; paths may be empty (such flows
- *                    receive their cap, or +inf when uncapped -- the
- *                    caller treats that as "instantaneous").
- */
-void fairShareRatesInto(const std::vector<double> &capacities,
-                        const std::vector<FairShareFlow> &flows,
-                        FairShareScratch &scratch);
-
-/**
- * Compute max-min fair rates (convenience wrapper over a local
- * workspace).
- *
- * @return one rate per flow, in units/s.
- */
-std::vector<double>
-fairShareRates(const std::vector<double> &capacities,
-               const std::vector<FairShareFlow> &flows);
-
-/**
  * The allocation-per-call implementation, retained as the
- * differential-testing oracle: the optimized workspace variant must
- * match it bit for bit on every input (see
+ * differential-testing oracle: the subset solver below must match it
+ * bit for bit on every input (see
  * tests/sim/fairshare_diff_test.cpp and Engine::setAllocator).  Like
  * the optimized solver it fills each connected component of the
  * flow/resource graph independently -- a component's rates are a

@@ -206,6 +206,21 @@ TEST(ScenarioSpec, ParserRejectsNonIntegralCounts)
     EXPECT_FALSE(bad.has_value());
     EXPECT_NE(error.find("must be an integer"), std::string::npos)
         << error;
+
+    // Rank counts and option indices are whole numbers too: a
+    // fractional value must not be truncated, and a huge one must not
+    // reach a double->int cast.
+    for (const char *text :
+         {R"({"workload": "stream", "ranks": 2.5})",
+          R"({"workload": "stream", "ranks": 1e30})",
+          R"({"workload": "stream", "option": 1.7})",
+          R"({"workload": "stream", "option": 1e30})"}) {
+        error.clear();
+        EXPECT_FALSE(parseScenarioSpec(*parseJson(text), &error))
+            << text;
+        EXPECT_NE(error.find("integer"), std::string::npos)
+            << text << ": " << error;
+    }
 }
 
 TEST(ScenarioSpec, ParserRejectsBadHtLinks)
@@ -426,8 +441,7 @@ TEST(ResultCache, EntryParserRejectsNonsense)
     // Counters read back as uint64_t: a value no uint64_t can hold
     // must be rejected, never cast.
     for (const char *counter :
-         {"events", "incremental_solves", "full_solves", "calqueue_ops",
-          "calqueue_resizes"}) {
+         {"events", "incremental_solves", "full_solves"}) {
         JsonValue huge = runResultToJson(digest, r);
         huge.set(counter, JsonValue::number(1e30));
         EXPECT_FALSE(parseRunResult(huge, digest).has_value())
@@ -475,6 +489,41 @@ TEST(ResultCache, PoisonedTaggedKeyReadsAsCorruptNotCrash)
     EXPECT_FALSE(cache.lookup(digest).has_value());
     EXPECT_EQ(cache.stats().corrupt, 1u);
     EXPECT_EQ(cache.stats().diskHits, 0u);
+}
+
+TEST(ResultCache, EntryWithRetiredCalqueueCountersStillHits)
+{
+    // Earlier writers stored calendar-queue counters in every entry.
+    // The reader ignores those keys, so an existing cache directory
+    // keeps serving hits with unchanged results.
+    RunResult r;
+    r.valid = true;
+    r.seconds = 2.718281828459045;
+    r.taggedSeconds[3] = 0.75;
+    r.events = 4321;
+    r.incrementalSolves = 17;
+    r.fullSolves = 5;
+    const uint64_t digest = 0xabc;
+    JsonValue doc = runResultToJson(digest, r);
+    doc.set("calqueue_ops", JsonValue::number(1149292.0));
+    doc.set("calqueue_resizes", JsonValue::number(3.0));
+
+    TempDir dir("retired_calqueue");
+    std::ofstream(dir.path() + "/" + digestHex(digest) + ".json")
+        << doc.dump();
+    ResultCache cache(dir.path());
+    auto hit = cache.lookup(digest);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_TRUE(hit->fromDisk);
+    EXPECT_EQ(cache.stats().diskHits, 1u);
+    EXPECT_EQ(cache.stats().corrupt, 0u);
+    const RunResult &back = hit->result;
+    EXPECT_EQ(back.valid, r.valid);
+    EXPECT_EQ(back.seconds, r.seconds); // bit-for-bit
+    EXPECT_EQ(back.taggedSeconds, r.taggedSeconds);
+    EXPECT_EQ(back.events, r.events);
+    EXPECT_EQ(back.incrementalSolves, r.incrementalSolves);
+    EXPECT_EQ(back.fullSolves, r.fullSolves);
 }
 
 TEST(DigestHex, RoundTripsAndRejects)

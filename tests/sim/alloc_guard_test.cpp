@@ -15,7 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <new>
 
 #include "core/experiment.hh"
@@ -158,35 +157,16 @@ TEST(AllocGuard, SteadyStateLoopIsAllocationFree)
     }
 }
 
-TEST(AllocGuard, EnvForcedReferenceAllocatorDisablesEnforcement)
-{
-    // MCSCOPE_REFERENCE_ALLOCATOR=1 is the user-facing A/B switch;
-    // it must not turn every Debug run into an abort.
-    ::setenv("MCSCOPE_REFERENCE_ALLOCATOR", "1", 1);
-    Machine machine(dmzConfig());
-    ::unsetenv("MCSCOPE_REFERENCE_ALLOCATOR");
-
-    EXPECT_EQ(machine.engine().allocator(),
-              Engine::AllocatorKind::Reference);
-    EXPECT_FALSE(machine.engine().allocGuardEnforced());
-
-    auto workload = makeWorkload(registeredWorkloads().front());
-    ASSERT_NE(workload, nullptr);
-    RunResult res =
-        runExperimentOn(machine, defaultConfig(), *workload);
-    EXPECT_TRUE(res.valid);
-}
-
 TEST(AllocGuardDeathTest, ReferenceAllocatorTripsContract)
 {
     if (!alloc_guard::compiledIn())
         GTEST_SKIP() << "MCSCOPE_ALLOC_GUARD not compiled in";
 
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    // Explicitly selecting the Reference oracle keeps enforcement on
-    // (unlike the env switch above): its per-rerun reallocation must
-    // trip the contract once scratch capacities stop growing.  This
-    // is the proof the guard can actually fire.
+    // Selecting the Reference oracle keeps enforcement on: its
+    // per-rerun reallocation must trip the contract once scratch
+    // capacities stop growing.  This is the proof the guard can
+    // actually fire.
     EXPECT_DEATH(
         {
             auto workload =

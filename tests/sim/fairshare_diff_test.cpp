@@ -3,9 +3,10 @@
  * Differential test of the zero-allocation fair-share allocator
  * against the retained reference implementation.
  *
- * fairShareRatesInto() (the engine hot path, reusable workspace) must
- * produce exactly the rates of fairShareRatesReference() (the
- * original allocation-per-call implementation) on every input.  This
+ * fairShareSolveSubset() (the engine hot path, reusable workspace),
+ * run over a whole flow set, must produce the rates of
+ * fairShareRatesReference() (the original allocation-per-call
+ * implementation) on every input.  This
  * drives ~1k randomized flow sets -- varying resource counts, path
  * lengths (including paths long enough to spill PathVec's inline
  * storage), caps, and the degenerate empty-path / cap-only flows --
@@ -65,6 +66,33 @@ randomScenario(Rng &rng)
     return s;
 }
 
+/**
+ * Solve every flow of `flows` over every resource through the subset
+ * solver, with identity slots (flow f in slot f).  The input arrays
+ * are rebuilt per call; `scratch` is the caller's, so reuse across
+ * calls is what the tests exercise.
+ */
+void
+solveAll(const std::vector<double> &caps,
+         const std::vector<FairShareFlow> &flows,
+         FairShareScratch &scratch)
+{
+    std::vector<PathVec> paths;
+    std::vector<double> rateCaps;
+    std::vector<int> slots;
+    for (size_t f = 0; f < flows.size(); ++f) {
+        paths.push_back(flows[f].path);
+        rateCaps.push_back(flows[f].rateCap);
+        slots.push_back(static_cast<int>(f));
+    }
+    std::vector<ResourceId> resources;
+    for (size_t r = 0; r < caps.size(); ++r)
+        resources.push_back(static_cast<ResourceId>(r));
+    fairShareSolveSubset(caps, paths, rateCaps, slots.data(),
+                         slots.size(), resources.data(),
+                         resources.size(), scratch);
+}
+
 TEST(FairShareDiff, OptimizedMatchesReferenceOnRandomFlowSets)
 {
     Rng rng(0x5eedf00dULL);
@@ -73,7 +101,7 @@ TEST(FairShareDiff, OptimizedMatchesReferenceOnRandomFlowSets)
         Scenario s = randomScenario(rng);
         std::vector<double> ref =
             fairShareRatesReference(s.caps, s.flows);
-        fairShareRatesInto(s.caps, s.flows, scratch);
+        solveAll(s.caps, s.flows, scratch);
         ASSERT_EQ(scratch.rates.size(), ref.size())
             << "iteration " << iter;
         for (size_t f = 0; f < ref.size(); ++f) {
@@ -89,20 +117,6 @@ TEST(FairShareDiff, OptimizedMatchesReferenceOnRandomFlowSets)
     }
 }
 
-TEST(FairShareDiff, WrapperMatchesScratchVariant)
-{
-    Rng rng(0xabcdef12ULL);
-    FairShareScratch scratch;
-    for (int iter = 0; iter < 50; ++iter) {
-        Scenario s = randomScenario(rng);
-        std::vector<double> wrapped = fairShareRates(s.caps, s.flows);
-        fairShareRatesInto(s.caps, s.flows, scratch);
-        ASSERT_EQ(wrapped.size(), scratch.rates.size());
-        for (size_t f = 0; f < wrapped.size(); ++f)
-            EXPECT_EQ(wrapped[f], scratch.rates[f]);
-    }
-}
-
 TEST(FairShareDiff, ScratchReuseDoesNotLeakStateAcrossShrinkingSets)
 {
     // A large set followed by a tiny one: every scratch array must be
@@ -115,7 +129,7 @@ TEST(FairShareDiff, ScratchReuseDoesNotLeakStateAcrossShrinkingSets)
         big.push_back(std::move(fl));
     }
     FairShareScratch scratch;
-    fairShareRatesInto(caps_big, big, scratch);
+    solveAll(caps_big, big, scratch);
     ASSERT_EQ(scratch.rates.size(), 64u);
 
     std::vector<double> caps_small = {10.0};
@@ -123,7 +137,7 @@ TEST(FairShareDiff, ScratchReuseDoesNotLeakStateAcrossShrinkingSets)
     FairShareFlow fl;
     fl.path = {0};
     small.push_back(std::move(fl));
-    fairShareRatesInto(caps_small, small, scratch);
+    solveAll(caps_small, small, scratch);
     ASSERT_EQ(scratch.rates.size(), 1u);
     EXPECT_DOUBLE_EQ(scratch.rates[0], 10.0);
 }

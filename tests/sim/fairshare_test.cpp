@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for the max-min fair (progressive filling) allocator.
+ * Unit tests for the max-min fair (progressive filling) allocator,
+ * driven through the subset solver over whole flow sets.
  */
 
 #include <gtest/gtest.h>
@@ -21,16 +22,42 @@ flow(std::vector<ResourceId> path, double cap = 0.0)
     return f;
 }
 
+/**
+ * Solve every flow over every resource: the subset solver with
+ * identity slots (flow f in slot f) and the whole resource list.
+ */
+std::vector<double>
+solveAll(const std::vector<double> &capacities,
+         const std::vector<FairShareFlow> &flows)
+{
+    std::vector<PathVec> paths;
+    std::vector<double> caps;
+    std::vector<int> slots;
+    for (size_t f = 0; f < flows.size(); ++f) {
+        paths.push_back(flows[f].path);
+        caps.push_back(flows[f].rateCap);
+        slots.push_back(static_cast<int>(f));
+    }
+    std::vector<ResourceId> resources;
+    for (size_t r = 0; r < capacities.size(); ++r)
+        resources.push_back(static_cast<ResourceId>(r));
+    FairShareScratch scratch;
+    fairShareSolveSubset(capacities, paths, caps, slots.data(),
+                         slots.size(), resources.data(),
+                         resources.size(), scratch);
+    return scratch.rates;
+}
+
 TEST(FairShare, SingleFlowGetsFullCapacity)
 {
-    auto rates = fairShareRates({100.0}, {flow({0})});
+    auto rates = solveAll({100.0}, {flow({0})});
     ASSERT_EQ(rates.size(), 1u);
     EXPECT_DOUBLE_EQ(rates[0], 100.0);
 }
 
 TEST(FairShare, TwoFlowsSplitEvenly)
 {
-    auto rates = fairShareRates({100.0}, {flow({0}), flow({0})});
+    auto rates = solveAll({100.0}, {flow({0}), flow({0})});
     EXPECT_DOUBLE_EQ(rates[0], 50.0);
     EXPECT_DOUBLE_EQ(rates[1], 50.0);
 }
@@ -38,14 +65,14 @@ TEST(FairShare, TwoFlowsSplitEvenly)
 TEST(FairShare, CapLimitsFlowAndReleasesCapacity)
 {
     // Flow 0 capped at 20; flow 1 takes the remaining 80.
-    auto rates = fairShareRates({100.0}, {flow({0}, 20.0), flow({0})});
+    auto rates = solveAll({100.0}, {flow({0}, 20.0), flow({0})});
     EXPECT_DOUBLE_EQ(rates[0], 20.0);
     EXPECT_DOUBLE_EQ(rates[1], 80.0);
 }
 
 TEST(FairShare, CapAboveFairShareIsInert)
 {
-    auto rates = fairShareRates({100.0}, {flow({0}, 90.0), flow({0})});
+    auto rates = solveAll({100.0}, {flow({0}, 90.0), flow({0})});
     EXPECT_DOUBLE_EQ(rates[0], 50.0);
     EXPECT_DOUBLE_EQ(rates[1], 50.0);
 }
@@ -53,7 +80,7 @@ TEST(FairShare, CapAboveFairShareIsInert)
 TEST(FairShare, PathMinimumGoverns)
 {
     // Flow crosses both resources; the narrow one binds.
-    auto rates = fairShareRates({100.0, 30.0}, {flow({0, 1})});
+    auto rates = solveAll({100.0, 30.0}, {flow({0, 1})});
     EXPECT_DOUBLE_EQ(rates[0], 30.0);
 }
 
@@ -62,7 +89,7 @@ TEST(FairShare, ClassicMaxMinExample)
     // Three flows: A on r0 only, B on r0+r1, C on r1 only.
     // r0 = 10, r1 = 4: B is squeezed to 2 by r1 (fair share with C),
     // then A gets the rest of r0 = 8.
-    auto rates = fairShareRates(
+    auto rates = solveAll(
         {10.0, 4.0}, {flow({0}), flow({0, 1}), flow({1})});
     EXPECT_DOUBLE_EQ(rates[1], 2.0);
     EXPECT_DOUBLE_EQ(rates[2], 2.0);
@@ -71,19 +98,19 @@ TEST(FairShare, ClassicMaxMinExample)
 
 TEST(FairShare, UnconstrainedFlowIsInfinite)
 {
-    auto rates = fairShareRates({10.0}, {flow({})});
+    auto rates = solveAll({10.0}, {flow({})});
     EXPECT_TRUE(std::isinf(rates[0]));
 }
 
 TEST(FairShare, EmptyPathWithCapUsesCap)
 {
-    auto rates = fairShareRates({10.0}, {flow({}, 3.0)});
+    auto rates = solveAll({10.0}, {flow({}, 3.0)});
     EXPECT_DOUBLE_EQ(rates[0], 3.0);
 }
 
 TEST(FairShare, NoFlows)
 {
-    auto rates = fairShareRates({10.0}, {});
+    auto rates = solveAll({10.0}, {});
     EXPECT_TRUE(rates.empty());
 }
 
@@ -127,7 +154,7 @@ TEST_P(FairShareProperty, FeasibleAndMaxMin)
         flows.push_back(fl);
     }
 
-    auto rates = fairShareRates(caps, flows);
+    auto rates = solveAll(caps, flows);
     ASSERT_EQ(rates.size(), flows.size());
 
     // (a) Feasibility: per-resource load within capacity.

@@ -40,12 +40,11 @@ import sys
 
 # Benchmarks on the engine's per-event hot path: tracing and timeline
 # hooks are compiled in but disabled here, so any slowdown is pure
-# observability overhead.  The calendar-queue and incremental-solve
-# benches are steady-state per-event machinery too, so they share the
-# strict cap.  Matched on the name before the '/'.
+# observability overhead.  The incremental-solve benches are
+# steady-state per-event machinery too, so they share the strict cap.
+# Matched on the name before the '/'.
 HOT_PATH_BENCHES = {
     "BM_EngineEventThroughput",
-    "BM_CalQueueChurn",
     "BM_FairShareSubsetSolve",
     "BM_EngineManyComponents",
     "BM_CoherenceProbe",

@@ -25,11 +25,10 @@
  *           no push_back/insert/resize on non-SmallVec containers.
  *           The markers bracket the Engine::run steady-state loop; the
  *           runtime counterpart is sim/alloc_guard.
- *   HOT-2   designated steady-state units (src/sim/engine.cc,
- *           src/sim/calqueue.hh) must contain at least one
- *           MCSCOPE_HOT_BEGIN ... MCSCOPE_HOT_END region -- deleting
- *           the markers would silently disable every HOT-1 check on
- *           the engine's actual hot loop.
+ *   HOT-2   designated steady-state units (src/sim/engine.cc) must
+ *           contain at least one MCSCOPE_HOT_BEGIN ... MCSCOPE_HOT_END
+ *           region -- deleting the markers would silently disable
+ *           every HOT-1 check on the engine's actual hot loop.
  *   FD-1    every open/openat/creat/mkstemp call site carries
  *           O_CLOEXEC (mkstemp cannot, so it is always flagged toward
  *           mkostemp); socket/accept4 call sites carry SOCK_CLOEXEC
@@ -100,7 +99,7 @@ constexpr RuleDoc kRuleCatalog[] = {
     {"HOT-1", "no heap allocation between MCSCOPE_HOT_BEGIN/END "
               "markers"},
     {"HOT-2", "designated steady-state units must contain hot "
-              "markers (src/sim/engine.cc, src/sim/calqueue.hh)"},
+              "markers (src/sim/engine.cc)"},
     {"FD-1", "open/openat/creat need O_CLOEXEC and socket/accept4 "
              "need SOCK_CLOEXEC; mkstemp and bare accept are "
              "forbidden; fork/exec are forbidden everywhere"},
@@ -160,14 +159,12 @@ const std::set<std::string> kSmallVecTypes = {"SmallVec", "PathVec",
 
 /**
  * Files that MUST carry at least one hot region (HOT-2).  These hold
- * the engine's steady-state event loop and the calendar queue's fast
- * paths; without markers, HOT-1 has nothing to check there and the
- * zero-allocation contract is only enforced at runtime in debug
- * builds.  Matched as path suffixes.
+ * the engine's steady-state event loop; without markers, HOT-1 has
+ * nothing to check there and the zero-allocation contract is only
+ * enforced at runtime in debug builds.  Matched as path suffixes.
  */
 const char *const kHotRequiredFiles[] = {
     "src/sim/engine.cc",
-    "src/sim/calqueue.hh",
 };
 
 /** strto* family checked by PARSE-1 (all take the end pointer 2nd). */
