@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <limits>
 #include <memory>
+#include <vector>
 
 #include "core/parallel_for.hh"
 #include "core/registry.hh"
@@ -355,6 +356,8 @@ runPlan(const SweepPlan &plan, const RunnerOptions &opts)
 
     std::atomic<uint64_t> memory_hits{0}, disk_hits{0}, misses{0},
         validated{0}, simulations{0};
+    // Per spec: 1 when served from the cache without simulating.
+    std::vector<uint8_t> served(n, 0);
     const CacheStats cache_before = cache.stats();
 
     const Clock::time_point plan_start = Clock::now();
@@ -369,7 +372,7 @@ runPlan(const SweepPlan &plan, const RunnerOptions &opts)
             workload = owned.get();
         }
         std::optional<uint64_t> digest = spec.digestWith(*workload);
-        const bool cacheable = digest.has_value() && !opts.noCache;
+        const bool cacheable = digest.has_value();
 
         std::optional<ResultCache::Hit> hit;
         if (cacheable)
@@ -381,6 +384,7 @@ runPlan(const SweepPlan &plan, const RunnerOptions &opts)
             else
                 ++memory_hits;
             out.bySpec[i] = hit->result;
+            served[i] = 1;
         } else {
             ExperimentConfig cfg = spec.toExperiment();
             cfg.audit = opts.audit;
@@ -431,19 +435,29 @@ runPlan(const SweepPlan &plan, const RunnerOptions &opts)
         telemetry->jobs = opts.jobs < 1 ? 1 : opts.jobs;
         telemetry->wallSeconds = out.wallSeconds;
         telemetry->points.assign(plan.pointCount(), {});
+        // A spec's work is reported once, at its first grid point;
+        // repeats of it, like cache hits, ran no simulation.
+        std::vector<uint8_t> reported(n, 0);
         for (size_t p = 0; p < plan.pointCount(); ++p) {
             const size_t si = plan.specIndex(p);
             const ScenarioSpec &spec = plan.specs()[si];
             const RunResult &r = out.bySpec[si];
+            const bool repeat = reported[si] != 0;
+            reported[si] = 1;
             GridPointSample &sample = telemetry->points[p];
+            sample.machine = spec.machine.name;
+            sample.workload = spec.workload;
             sample.ranks = spec.ranks;
             sample.label = spec.option.label;
             sample.valid = r.valid;
-            sample.wallSeconds = out.specWallSeconds[si];
+            sample.cached = repeat || served[si] != 0;
+            sample.wallSeconds = repeat ? 0.0 : out.specWallSeconds[si];
             sample.simSeconds = r.valid ? r.seconds : 0.0;
-            sample.events = r.events;
-            sample.incrementalSolves = r.incrementalSolves;
-            sample.fullSolves = r.fullSolves;
+            if (!sample.cached) {
+                sample.events = r.events;
+                sample.incrementalSolves = r.incrementalSolves;
+                sample.fullSolves = r.fullSolves;
+            }
         }
     }
     return out;

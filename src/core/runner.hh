@@ -137,9 +137,6 @@ struct RunnerOptions
      */
     ResultCache *cache = nullptr;
 
-    /** Set to bypass the cache entirely (hits become simulations). */
-    bool noCache = false;
-
     /**
      * Execute every spec with this workload instance instead of
      * instantiating from the registry -- the legacy sweepOptions

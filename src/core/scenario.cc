@@ -248,22 +248,6 @@ resolveOptionSpec(const std::string &spec)
     return std::nullopt;
 }
 
-ScenarioSpec
-ScenarioSpec::fromExperiment(const ExperimentConfig &config,
-                             const std::string &workload_name)
-{
-    ScenarioSpec s;
-    s.workload = workload_name;
-    s.machine = config.machine;
-    s.option = config.option;
-    s.ranks = config.ranks;
-    s.impl = config.impl;
-    s.sublayer = config.sublayer;
-    s.latencyNoise = config.latencyNoise;
-    s.canonicalize();
-    return s;
-}
-
 ExperimentConfig
 ScenarioSpec::toExperiment() const
 {

@@ -76,10 +76,6 @@ struct ScenarioSpec
     SubLayer sublayer = SubLayer::USysV;
     double latencyNoise = 1.0;
 
-    /** Build a spec from a legacy ExperimentConfig + workload name. */
-    static ScenarioSpec fromExperiment(const ExperimentConfig &config,
-                                       const std::string &workload_name);
-
     /** The ExperimentConfig this spec describes. */
     ExperimentConfig toExperiment() const;
 

@@ -17,6 +17,15 @@ SweepTelemetry::totalEvents() const
     return sum;
 }
 
+size_t
+SweepTelemetry::cachedPoints() const
+{
+    size_t n = 0;
+    for (const GridPointSample &p : points)
+        n += p.cached ? 1 : 0;
+    return n;
+}
+
 double
 SweepTelemetry::busySeconds() const
 {
@@ -45,7 +54,8 @@ SweepTelemetry::occupancy() const
 std::string
 SweepTelemetry::summary() const
 {
-    return std::to_string(points.size()) + " grid points in " +
+    return std::to_string(points.size()) + " grid points (" +
+           std::to_string(cachedPoints()) + " cached) in " +
            formatFixed(wallSeconds, 3) + " s wall, " +
            formatFixed(eventsPerSecond() / 1e6, 2) +
            "M events/s, occupancy " +
@@ -76,6 +86,7 @@ SweepTelemetry::writeJson(std::ostream &os) const
        << "  \"wall_seconds\": " << jsonNum(wallSeconds) << ",\n"
        << "  \"busy_seconds\": " << jsonNum(busySeconds()) << ",\n"
        << "  \"grid_points\": " << points.size() << ",\n"
+       << "  \"cached_points\": " << cachedPoints() << ",\n"
        << "  \"total_events\": " << totalEvents() << ",\n"
        << "  \"events_per_second\": " << jsonNum(eventsPerSecond())
        << ",\n"
@@ -83,9 +94,12 @@ SweepTelemetry::writeJson(std::ostream &os) const
     os << "  \"points\": [\n";
     for (size_t i = 0; i < points.size(); ++i) {
         const GridPointSample &p = points[i];
-        os << "    {\"ranks\": " << p.ranks << ", \"option\": \""
+        os << "    {\"machine\": \"" << jsonEscape(p.machine)
+           << "\", \"workload\": \"" << jsonEscape(p.workload)
+           << "\", \"ranks\": " << p.ranks << ", \"option\": \""
            << jsonEscape(p.label) << "\", \"valid\": "
            << (p.valid ? "true" : "false")
+           << ", \"cached\": " << (p.cached ? "true" : "false")
            << ", \"wall_seconds\": " << jsonNum(p.wallSeconds)
            << ", \"sim_seconds\": " << jsonNum(p.simSeconds)
            << ", \"events\": " << p.events

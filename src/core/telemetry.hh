@@ -40,7 +40,7 @@ struct GridPointSample
     /** Simulated makespan, in seconds. */
     double simSeconds = 0.0;
 
-    /** Engine events processed. */
+    /** Engine events processed (0 when cached). */
     uint64_t events = 0;
 
     /** Allocator reruns solved incrementally (dirty-set closure). */
@@ -48,6 +48,17 @@ struct GridPointSample
 
     /** Allocator reruns that re-solved the whole flow set. */
     uint64_t fullSolves = 0;
+
+    /**
+     * True when the point ran no simulation of its own: a result-cache
+     * hit, or a repeat of an earlier point of the same plan.  Its
+     * events and solve counts are then 0 -- they count work done.
+     */
+    bool cached = false;
+
+    /** Machine and registry workload names of the point's scenario. */
+    std::string machine;
+    std::string workload;
 };
 
 /** Telemetry for one whole sweep. */
@@ -62,13 +73,19 @@ struct SweepTelemetry
     /** One sample per grid point, in (rank, option) order. */
     std::vector<GridPointSample> points;
 
-    /** Engine events summed over all grid points. */
+    /** Engine events summed over the simulated grid points. */
     uint64_t totalEvents() const;
+
+    /** Grid points that ran no simulation (GridPointSample::cached). */
+    size_t cachedPoints() const;
 
     /** Summed per-point wall time (serial cost of the grid). */
     double busySeconds() const;
 
-    /** Aggregate simulation throughput in engine events per second. */
+    /**
+     * Aggregate simulation throughput in engine events per second;
+     * 0 for a run served entirely from cache.
+     */
     double eventsPerSecond() const;
 
     /**

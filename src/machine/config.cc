@@ -23,6 +23,9 @@ MachineConfig::check() const
         return bad("core rate must be positive");
     if (memBandwidthPerSocket <= 0.0)
         return bad("memory bandwidth must be positive");
+    // Every HT link becomes an engine resource with this capacity.
+    if (htLinkBandwidth <= 0.0)
+        return bad("ht_link_bandwidth must be positive");
     if (memLatency <= 0.0 || htHopLatency < 0.0)
         return bad("latencies must be positive");
     if (l1Bytes <= 0.0 || l2Bytes <= 0.0)

@@ -97,7 +97,10 @@ TEST(Metrics, SingleStarRatioAndPlacementGain)
 
 TEST(Telemetry, SweepRecordsEveryGridPoint)
 {
-    StreamWorkload stream(1u << 20, 2);
+    // An iteration count no other test here uses: the process cache
+    // would otherwise serve these points, and cached points report no
+    // events.
+    StreamWorkload stream(1u << 20, 3);
     SweepTelemetry telemetry;
     OptionSweepResult sweep =
         sweepOptions(dmzConfig(), {2, 4}, stream, MpiImpl::OpenMpi,
@@ -134,8 +137,10 @@ TEST(Telemetry, JsonDumpHasAllFields)
     SweepTelemetry t;
     t.jobs = 2;
     t.wallSeconds = 1.5;
-    t.points.push_back({4, "Default", true, 0.5, 2.5, 100});
-    t.points.push_back({8, "Inter\"leave", false, 0.25, 0.0, 0});
+    t.points.push_back(
+        {4, "Default", true, 0.5, 2.5, 100, 0, 0, false, "DMZ", "stream"});
+    t.points.push_back({8, "Inter\"leave", false, 0.25, 0.0, 0, 0, 0,
+                        true, "DMZ", "stream"});
     std::ostringstream oss;
     t.writeJson(oss);
     const std::string json = oss.str();
@@ -143,8 +148,68 @@ TEST(Telemetry, JsonDumpHasAllFields)
     EXPECT_NE(json.find("\"grid_points\": 2"), std::string::npos);
     EXPECT_NE(json.find("\"total_events\": 100"), std::string::npos);
     EXPECT_NE(json.find("\"valid\": false"), std::string::npos);
+    EXPECT_NE(json.find("\"cached_points\": 1"), std::string::npos);
+    EXPECT_NE(json.find("\"machine\": \"DMZ\", \"workload\": \"stream\""),
+              std::string::npos);
+    EXPECT_NE(json.find("\"cached\": true"), std::string::npos);
     // Labels pass through the JSON string escaper.
     EXPECT_NE(json.find("Inter\\\"leave"), std::string::npos);
+}
+
+TEST(Telemetry, FullyWarmRunReportsNoEvents)
+{
+    SweepAxes axes;
+    axes.machinePreset = "dmz";
+    axes.workloads = {"stream"};
+    axes.rankCounts = {2, 4};
+    SweepPlan plan = SweepPlan::expand(axes);
+    ResultCache cache;
+    RunnerOptions opts;
+    opts.cache = &cache;
+    SweepTelemetry cold, warm;
+    opts.telemetry = &cold;
+    runPlan(plan, opts);
+    opts.telemetry = &warm;
+    ASSERT_EQ(runPlan(plan, opts).stats.simulations, 0u);
+
+    EXPECT_GT(cold.totalEvents(), 0u);
+    EXPECT_EQ(cold.cachedPoints(), 0u);
+    ASSERT_EQ(warm.points.size(), plan.pointCount());
+    EXPECT_EQ(warm.cachedPoints(), warm.points.size());
+    EXPECT_EQ(warm.totalEvents(), 0u);
+    EXPECT_EQ(warm.eventsPerSecond(), 0.0);
+    for (const GridPointSample &p : warm.points) {
+        EXPECT_TRUE(p.cached);
+        EXPECT_EQ(p.machine, dmzConfig().name);
+        EXPECT_EQ(p.workload, "stream");
+        EXPECT_EQ(p.incrementalSolves + p.fullSolves, 0u);
+    }
+    EXPECT_NE(warm.summary().find("(12 cached)"), std::string::npos)
+        << warm.summary();
+    std::ostringstream oss;
+    warm.writeJson(oss);
+    EXPECT_NE(oss.str().find("\"cached_points\": 12"), std::string::npos);
+    EXPECT_NE(oss.str().find("\"total_events\": 0,"), std::string::npos);
+}
+
+TEST(Telemetry, RepeatedPointCountsItsWorkOnce)
+{
+    ScenarioSpec spec;
+    spec.workload = "stream";
+    spec.machinePreset = "dmz";
+    spec.option = table5Options()[0];
+    spec.ranks = 2;
+    SweepPlan plan = SweepPlan::fromSpecs({spec, spec});
+    ResultCache cache;
+    SweepTelemetry telemetry;
+    RunnerOptions opts;
+    opts.cache = &cache;
+    opts.telemetry = &telemetry;
+    PlanResults results = runPlan(plan, opts);
+    ASSERT_EQ(telemetry.points.size(), 2u);
+    EXPECT_FALSE(telemetry.points[0].cached);
+    EXPECT_TRUE(telemetry.points[1].cached);
+    EXPECT_EQ(telemetry.totalEvents(), results.bySpec[0].events);
 }
 
 TEST(Report, OptionSweepTablePrintsDashesForInvalid)

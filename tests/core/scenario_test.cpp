@@ -615,10 +615,12 @@ TEST(Runner, PoisonedDiskEntryIsDetectedAndResimulated)
     EXPECT_EQ(recovered.stats.hits(), 0u);
     EXPECT_EQ(recovered.stats.simulations, 1u);
 
-    // The re-simulated result matches an uncached run exactly.
+    // The re-simulated result matches a run on an empty cache exactly.
+    ResultCache empty;
     RunnerOptions fresh_opts;
-    fresh_opts.noCache = true;
+    fresh_opts.cache = &empty;
     PlanResults fresh = runPlan(plan, fresh_opts);
+    EXPECT_EQ(fresh.stats.simulations, 1u);
     EXPECT_EQ(recovered.bySpec[0].seconds, fresh.bySpec[0].seconds);
 }
 

@@ -259,6 +259,28 @@ TEST(MachineSerialize, RejectsOrphanFabricAndBadNodeCounts)
     EXPECT_NE(error.find("divide"), std::string::npos) << error;
 }
 
+TEST(MachineSerialize, RejectsNonPositiveHtLinkBandwidth)
+{
+    // Every HT link is an engine resource of this capacity: a
+    // non-positive value must fail here with a one-line error, not
+    // assert in the engine on the first run.
+    for (const char *bw : {"0", "-1"}) {
+        std::string error;
+        EXPECT_FALSE(parseText(
+            std::string(R"({"name":"x","sockets":2,"cores_per_socket":1,)"
+                        R"("ht_link_bandwidth":)") +
+                bw + R"(,"ht_links":[[0,1]]})",
+            &error))
+            << bw;
+        EXPECT_NE(error.find("ht_link_bandwidth"), std::string::npos)
+            << error;
+        EXPECT_EQ(error.find('\n'), std::string::npos) << error;
+    }
+    MachineConfig cfg = dmzConfig();
+    cfg.htLinkBandwidth = 0.0;
+    EXPECT_NE(cfg.check().find("ht_link_bandwidth"), std::string::npos);
+}
+
 TEST(MachineSerialize, RejectsBadLinks)
 {
     std::string error;
